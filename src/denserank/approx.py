@@ -16,14 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .errors import SemanticsError
 from .model import (
     Family,
     Instance,
     OrderedInstance,
     Ranking,
-    evaluate,
+    batch_verdict,
     fault_count,
+    satisfied_selected,
 )
 
 
@@ -83,10 +86,8 @@ def csp_distance(inst: Instance, rho: Ranking, gamma: Ranking) -> int:
     _require_fast(inst)
     if rho.n != inst.n or gamma.n != inst.n:
         raise SemanticsError("rankings must cover the instance's vertex set")
-    kind = inst.kind
-    return sum(
-        1 for c in inst.constraints() if evaluate(kind, c, rho) != evaluate(kind, c, gamma)
-    )
+    ok = batch_verdict(inst)(np.array([rho.position, gamma.position], dtype=np.int64))
+    return int((ok[0] != ok[1]).sum())
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,18 @@ def degree_gap_slack(inst: Instance, rho: Ranking) -> DegreeGapReport:
     """Slack of: twice the fault count bounds the total gap between
     left-counts and in-degrees.
 
-    The exact double-counting identities behind the bound are asserted
-    here on every call; only the final inequality is left to the caller
-    as a slack.
+    The exact double-counting identities behind the bound are checked
+    here on every call (SemanticsError if one fails); only the final
+    inequality is left to the caller as a slack.
     """
     _require_fast(inst)
-    pos = rho.position
+    kind = inst.kind
     n = inst.n
     late_sel = [0] * n
     late_unsel = [0] * n
     early_sel = [0] * n
     for c in inst.constraints():
-        last = max(c.members, key=pos.__getitem__)
+        last = satisfied_selected(kind, c.members, rho)
         if c.selected == last:
             late_sel[last] += 1
         else:
@@ -135,10 +136,14 @@ def degree_gap_slack(inst: Instance, rho: Ranking) -> DegreeGapReport:
     lefts = left_counts(rho, inst.kind.r)
     faults = fault_count(OrderedInstance(inst, rho))
     for v in range(n):
-        assert late_sel[v] + early_sel[v] == profile.counts[v]
-        assert late_sel[v] + late_unsel[v] == lefts[v]
-        assert min(lefts[v], profile.counts[v]) >= late_sel[v]
-    assert sum(late_unsel) + sum(early_sel) == 2 * faults
+        if not (
+            late_sel[v] + early_sel[v] == profile.counts[v]
+            and late_sel[v] + late_unsel[v] == lefts[v]
+            and min(lefts[v], profile.counts[v]) >= late_sel[v]
+        ):
+            raise SemanticsError(f"degree double-counting identity fails at vertex {v}")
+    if sum(late_unsel) + sum(early_sel) != 2 * faults:
+        raise SemanticsError(f"violated tallies are not twice the fault count {faults}")
 
     gap_total = sum(abs(lefts[v] - profile.counts[v]) for v in range(n))
     return DegreeGapReport(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, factorial
+from math import comb
 from typing import Iterator, Optional
 
 from . import oracle
@@ -38,10 +38,10 @@ from .model import (
     SelectedData,
     VertexId,
     all_selected_values,
-    edit_wrt,
     evaluate,
     inconsistent_constraints,
     nth_combination,
+    satisfied_selected,
 )
 from .rng import SplitMix64
 
@@ -83,7 +83,7 @@ def single_fault_config(
     constraint is satisfied except the one given."""
     identity = Ranking.identity(size)
     constraints = [
-        edit_wrt(kind, _blank(kind, subset), identity)
+        Constraint(subset, satisfied_selected(kind, subset, identity))
         for subset in itertools.combinations(range(size), kind.r)
     ]
     inst = Instance(size, kind, constraints)
@@ -92,18 +92,12 @@ def single_fault_config(
     return SingleFaultConfig(OrderedInstance(inst, identity), fault)
 
 
-def _blank(kind: ProblemKind, members: tuple[VertexId, ...]) -> Constraint:
-    # Any valid constraint on the members; edit_wrt immediately rewrites it.
-    vals = all_selected_values(kind, members)
-    return Constraint(members, vals[0])
-
-
 def violating_selected_values(
     kind: ProblemKind, members: tuple[VertexId, ...], sigma: Ranking
 ) -> list[SelectedData]:
     """All selected data for `members` that `sigma` does not satisfy,
     in canonical order."""
-    satisfied = edit_wrt(kind, _blank(kind, members), sigma).selected
+    satisfied = satisfied_selected(kind, members, sigma)
     return [v for v in all_selected_values(kind, members) if v != satisfied]
 
 
@@ -296,12 +290,7 @@ class CharacterizationReport:
 
 
 def _config_space(kind: ProblemKind, size: int) -> tuple[int, int]:
-    if kind.family is Family.FAST:
-        per_subset = kind.r - 1
-    elif kind.family is Family.BETWEENNESS:
-        per_subset = comb(kind.r, 2) - 1
-    else:
-        per_subset = factorial(kind.r) - 1
+    per_subset = len(all_selected_values(kind, tuple(range(kind.r)))) - 1
     return comb(size, kind.r), per_subset
 
 

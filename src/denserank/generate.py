@@ -26,8 +26,8 @@ from .model import (
     ProblemKind,
     Ranking,
     all_selected_values,
-    edit_wrt,
     nth_combination,
+    satisfied_selected,
 )
 from .rng import SplitMix64
 import itertools
@@ -82,8 +82,7 @@ def generate_with_details(
     base = Ranking(tuple(rng.permutation(n)))
     constraints = {}
     for subset in itertools.combinations(range(n), kind.r):
-        seed_c = Constraint(subset, all_selected_values(kind, subset)[0])
-        constraints[subset] = edit_wrt(kind, seed_c, base)
+        constraints[subset] = Constraint(subset, satisfied_selected(kind, subset, base))
     targets = tuple(
         nth_combination(n, kind.r, idx)
         for idx in rng.sample_indices(spec.edits, comb(n, kind.r))

@@ -34,9 +34,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from . import oracle
 from .approx import inc_degree_ranking
-from .characterize import default_conflict_size, violating_selected_values
+from .characterize import default_conflict_size, single_fault_config, violating_selected_values
 from .errors import (
     ConfigError,
     KernelDriverError,
@@ -53,12 +55,13 @@ from .model import (
     Ranking,
     SelectedData,
     VertexId,
-    all_selected_values,
+    batch_verdict,
     edit_wrt,
     evaluate,
     fault_count,
     inconsistent_constraints,
     induced,
+    satisfied_selected,
     span,
     span_minus,
 )
@@ -92,9 +95,12 @@ def local_search_provider(inst: Instance) -> Ranking:
     fault count is acceptable.
     """
     order = list(range(inst.n))
+    verdict = batch_verdict(inst)
+    total = inst.constraint_count()
 
     def faults() -> int:
-        return fault_count(OrderedInstance(inst, Ranking(tuple(order))))
+        # argsort inverts the permutation: positions indexed by vertex
+        return total - int(verdict(np.argsort(order)[None, :]).sum())
 
     best = faults()
     improved = True
@@ -368,7 +374,8 @@ def always_selected_vertex(inst: Instance) -> Optional[VertexId]:
             if v != c.selected:
                 ruled_out[v] = True
     hits = [v for v in range(inst.n) if not ruled_out[v]]
-    assert len(hits) <= 1, f"multiple always-selected vertices {hits} in a dense instance"
+    if len(hits) > 1:
+        raise KernelDriverError(f"multiple always-selected vertices {hits} in a dense instance")
     return hits[0] if hits else None
 
 
@@ -527,28 +534,18 @@ def trivial_instance(kind: ProblemKind, yes: bool) -> tuple[Instance, int]:
     Both are re-checked against the oracle at construction.
     """
     r = kind.r
-
-    def satisfied_on(members: tuple[VertexId, ...], sigma: Ranking) -> Constraint:
-        seed = Constraint(members, all_selected_values(kind, members)[0])
-        return edit_wrt(kind, seed, sigma)
-
     if yes:
-        identity = Ranking.identity(r)
-        inst = Instance(r, kind, [satisfied_on(tuple(range(r)), identity)])
-        assert oracle.decide(inst, 0)
-        return inst, 0
-
-    size = r + 1
-    sigma = Ranking.identity(size)
-    inst = Instance(
-        size,
-        kind,
-        [satisfied_on(subset, sigma) for subset in itertools.combinations(range(size), r)],
-    )
-    fault_members = tuple(range(r - 1)) + (r,)
-    bad_value = violating_selected_values(kind, fault_members, sigma)[0]
-    inst = inst.replace({fault_members: Constraint(fault_members, bad_value)})
-    assert not oracle.decide(inst, 0)
+        members = tuple(range(r))
+        satisfied = satisfied_selected(kind, members, Ranking.identity(r))
+        inst = Instance(r, kind, [Constraint(members, satisfied)])
+    else:
+        fault_members = tuple(range(r - 1)) + (r,)
+        bad_value = violating_selected_values(kind, fault_members, Ranking.identity(r + 1))[0]
+        inst = single_fault_config(kind, r + 1, fault_members, bad_value).instance
+    if oracle.decide(inst, 0) != yes:
+        raise KernelDriverError(
+            f"trivial {kind.family.value} r={r} instance has the opposite answer to yes={yes}"
+        )
     return inst, 0
 
 
@@ -621,7 +618,7 @@ def kernelize_characterized(
             EditRecord(
                 center=center.members,
                 old_selected=center.selected,
-                new_selected=edit_wrt(kind, center, sigma).selected,
+                new_selected=satisfied_selected(kind, center.members, sigma),
                 k_before=k,
                 k_after=new_k,
                 petals=flower.petal_count,
@@ -630,7 +627,8 @@ def kernelize_characterized(
         inst, k = new_inst, new_k
         oi = OrderedInstance(inst, sigma)
         new_p = fault_count(oi)
-        assert new_p == p - 1, "an edit must clear exactly its own fault"
+        if new_p != p - 1:
+            raise KernelDriverError(f"an edit must clear exactly its own fault: p {p}->{new_p}")
         p = new_p
 
 
@@ -750,7 +748,7 @@ def kernelize_fast(
             EditRecord(
                 center=center.members,
                 old_selected=center.selected,
-                new_selected=edit_wrt(kind, center, sigma).selected,
+                new_selected=satisfied_selected(kind, center.members, sigma),
                 k_before=k,
                 k_after=new_k,
                 petals=petals,

@@ -13,6 +13,11 @@ constraint families are supported:
 Constraints are stored keyed by their sorted member tuple, and every
 iteration over an instance is in lexicographic member order, so all
 downstream behaviour is deterministic.
+
+Each family's verdict is written here once per form and nowhere else:
+`satisfied_selected` (scalar: the selected datum a ranking satisfies on
+a member tuple) and `batch_verdict` (numpy: ranking positions to a
+satisfied mask).  Everything that judges a ranking is built on these.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
+
+import numpy as np
 
 from .errors import (
     DensityError,
@@ -84,10 +91,6 @@ class Ranking:
         object.__setattr__(self, "position", tuple(pos))
 
     @classmethod
-    def from_order(cls, order: Iterable[VertexId]) -> "Ranking":
-        return cls(tuple(order))
-
-    @classmethod
     def identity(cls, n: int) -> "Ranking":
         return cls(tuple(range(n)))
 
@@ -122,9 +125,6 @@ class Constraint:
 
     members: tuple[VertexId, ...]
     selected: SelectedData
-
-    def arity(self) -> int:
-        return len(self.members)
 
 
 def validate_constraint(kind: ProblemKind, c: Constraint) -> None:
@@ -248,24 +248,80 @@ class OrderedInstance:
             )
 
 
+def satisfied_selected(
+    kind: ProblemKind, members: tuple[VertexId, ...], ranking: Ranking
+) -> SelectedData:
+    """The one selected datum on `members` that `ranking` satisfies.
+
+    FAST: the last-ranked member.  BETWEENNESS: the first- and
+    last-ranked members as an increasing pair.  TRANSITIVE_FAST: the
+    members in ranking order.
+    """
+    key = ranking.position.__getitem__
+    if kind.family is Family.FAST:
+        return max(members, key=key)
+    if kind.family is Family.BETWEENNESS:
+        lo = min(members, key=key)
+        hi = max(members, key=key)
+        return (lo, hi) if lo < hi else (hi, lo)
+    return tuple(sorted(members, key=key))
+
+
+def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile the instance into a batch verdict.
+
+    The returned function maps an (m, n) matrix whose rows are ranking
+    positions (row[v] is the position of vertex v) to the (m, C) mask of
+    satisfied constraints, columns in lexicographic member order.
+    """
+    cs = list(inst.constraints())
+    members = np.array([c.members for c in cs], dtype=np.int64)
+    total = len(cs)
+    family = inst.kind.family
+
+    if family is Family.FAST:
+        sel = np.array([c.selected for c in cs], dtype=np.int64)
+
+        def verdict(pos: np.ndarray) -> np.ndarray:
+            return pos[:, sel] == pos[:, members].max(axis=2)
+
+    elif family is Family.BETWEENNESS:
+        first = np.array([c.selected[0] for c in cs], dtype=np.int64)
+        second = np.array([c.selected[1] for c in cs], dtype=np.int64)
+
+        def verdict(pos: np.ndarray) -> np.ndarray:
+            mp = pos[:, members]
+            lo = mp.min(axis=2)
+            hi = mp.max(axis=2)
+            pa = pos[:, first]
+            pb = pos[:, second]
+            return ((pa == lo) & (pb == hi)) | ((pa == hi) & (pb == lo))
+
+    else:
+        chain = np.array([c.selected for c in cs], dtype=np.int64)
+
+        def verdict(pos: np.ndarray) -> np.ndarray:
+            ok = np.ones((pos.shape[0], total), dtype=bool)
+            left = pos[:, chain[:, 0]]
+            for j in range(1, chain.shape[1]):
+                right = pos[:, chain[:, j]]
+                ok &= left < right
+                left = right
+            return ok
+
+    return verdict
+
+
 def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:
     """Does `ranking` satisfy this constraint?"""
-    pos = ranking.position
-    if kind.family is Family.FAST:
-        sp = pos[c.selected]
-        return all(pos[v] <= sp for v in c.members)
-    if kind.family is Family.BETWEENNESS:
-        lo = min(c.members, key=pos.__getitem__)
-        hi = max(c.members, key=pos.__getitem__)
-        return {lo, hi} == set(c.selected)
-    sel = c.selected
-    return all(pos[sel[i]] < pos[sel[i + 1]] for i in range(len(sel) - 1))
+    return satisfied_selected(kind, c.members, ranking) == c.selected
 
 
 def inconsistent_constraints(oi: OrderedInstance) -> list[Constraint]:
     """Constraints the ranking violates, lexicographic by members."""
-    kind, sigma = oi.instance.kind, oi.sigma
-    return [c for c in oi.instance.constraints() if not evaluate(kind, c, sigma)]
+    cs = list(oi.instance.constraints())
+    ok = batch_verdict(oi.instance)(np.array([oi.sigma.position], dtype=np.int64))[0]
+    return [cs[i] for i in np.flatnonzero(~ok)]
 
 
 def fault_count(oi: OrderedInstance) -> int:
@@ -292,14 +348,7 @@ def span_minus(c: Constraint, ranking: Ranking) -> tuple[VertexId, ...]:
 
 def edit_wrt(kind: ProblemKind, c: Constraint, ranking: Ranking) -> Constraint:
     """The unique constraint on the same members that `ranking` satisfies."""
-    pos = ranking.position
-    by_rank = sorted(c.members, key=pos.__getitem__)
-    if kind.family is Family.FAST:
-        return Constraint(c.members, by_rank[-1])
-    if kind.family is Family.BETWEENNESS:
-        lo, hi = by_rank[0], by_rank[-1]
-        return Constraint(c.members, (lo, hi) if lo < hi else (hi, lo))
-    return Constraint(c.members, tuple(by_rank))
+    return Constraint(c.members, satisfied_selected(kind, c.members, ranking))
 
 
 def induced(

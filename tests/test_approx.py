@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import consistent_instance
-from denserank import oracle
+from denserank import approx, oracle
 from denserank.approx import (
     DegreeProfile,
     csp_distance,
@@ -110,10 +110,20 @@ class TestDegreeGap:
                 assert report.gap_total >= 0
 
     def test_identities_hold_with_faults_present(self, uniform):
-        # the identity assertions run inside; a return means they held
+        # the identity checks run inside; a return means they held
         inst = uniform(Family.FAST, 3, 7, 99)
         report = degree_gap_slack(inst, Ranking.identity(7))
         assert sum(report.late_unselected) + sum(report.early_selected) == 2 * report.faults
+
+    def test_broken_vertex_identity_fails_loudly(self, uniform, monkeypatch):
+        monkeypatch.setattr(approx, "left_counts", lambda sigma, r: (1,) * sigma.n)
+        with pytest.raises(SemanticsError, match="identity fails at vertex 0"):
+            degree_gap_slack(uniform(Family.FAST, 3, 7, 99), Ranking.identity(7))
+
+    def test_broken_fault_total_fails_loudly(self, uniform, monkeypatch):
+        monkeypatch.setattr(approx, "fault_count", lambda oi: -1)
+        with pytest.raises(SemanticsError, match="not twice the fault count -1"):
+            degree_gap_slack(uniform(Family.FAST, 3, 7, 99), Ranking.identity(7))
 
     def test_adversarial_descent_never_goes_negative(self, uniform):
         # steepest-descent over adjacent swaps, chasing small slack

@@ -206,29 +206,37 @@ class TestBench:
 GEN_ARGV = ("gen", "--family", "fast", "--r", "2", "--n", "5", "--mode", "uniform")
 
 
+def _run_from_elsewhere(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run `sys.executable *argv` in `cwd` with the package under test
+    first on the child's path, so neither the caller's cwd nor another
+    installed copy decides what runs."""
+    package_parent = str(Path(denserank.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_parent, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, cwd=cwd, env=env
+    )
+
+
 def test_installed_script_smoke(tmp_path):
     """The `denserank` script declared in pyproject.toml runs `gen` end to end.
 
     Runs the three lines pip writes into a console-script launcher in a fresh
-    interpreter, so the check needs no install. The package under test comes
-    first on the child's path and the child runs outside the repository, so
-    neither the caller's cwd nor another installed copy decides what runs.
+    interpreter outside the repository, so the check needs no install.
     """
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["denserank"]
     module, func = target.split(":")
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
-    package_parent = str(Path(denserank.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_parent, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", launcher, *GEN_ARGV],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-    )
+    result = _run_from_elsewhere(["-c", launcher, *GEN_ARGV], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert fileformat.parse(result.stdout).n == 5
+
+
+def test_module_entry_smoke(tmp_path):
+    """`python -m denserank` runs `gen` end to end."""
+    result = _run_from_elsewhere(["-m", "denserank", *GEN_ARGV], tmp_path)
     assert result.returncode == 0, result.stderr
     assert fileformat.parse(result.stdout).n == 5
 

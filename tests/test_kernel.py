@@ -3,11 +3,12 @@ import re
 import pytest
 
 from conftest import consistent_instance
-from denserank import oracle
+from denserank import kernel, oracle
 from denserank.approx import inc_degree_ranking
 from denserank.characterize import violating_selected_values
 from denserank.errors import (
     ConfigError,
+    KernelDriverError,
     PreconditionError,
     RuleInapplicableError,
     SemanticsError,
@@ -207,6 +208,12 @@ class TestVertexDrops:
         with pytest.raises(SemanticsError):
             always_selected_vertex(consistent_instance(B3, 5))
 
+    def test_two_always_selected_vertices_fail_loudly(self, monkeypatch):
+        inst = consistent_instance(F2, 4)
+        monkeypatch.setattr(Instance, "constraints", lambda self: iter(()))
+        with pytest.raises(KernelDriverError, match="multiple always-selected"):
+            always_selected_vertex(inst)
+
     def test_drop_preserves_the_optimum(self, planted):
         checked = 0
         for seed in range(30):
@@ -324,6 +331,12 @@ class TestTrivialInstances:
         assert (no_inst.n, no_k) == (kind.r + 1, 0)
         assert not oracle.decide(no_inst, no_k)
 
+    @pytest.mark.parametrize("yes", [True, False])
+    def test_wrong_oracle_answer_fails_loudly(self, monkeypatch, yes):
+        monkeypatch.setattr(oracle, "decide", lambda inst, k, cap=oracle.DEFAULT_CAP: not yes)
+        with pytest.raises(KernelDriverError, match="opposite answer to yes"):
+            trivial_instance(F3, yes)
+
 
 class TestCharacterizedDriver:
     def test_consistent_input_is_trivially_yes(self):
@@ -345,6 +358,12 @@ class TestCharacterizedDriver:
     def test_wrong_conflict_size_rejected_up_front(self):
         with pytest.raises(ConfigError):
             kernelize_characterized(consistent_instance(B3, 6), 1, 5, exact_provider())
+
+    def test_edit_that_leaves_its_fault_fails_loudly(self, planted, monkeypatch):
+        monkeypatch.setattr(kernel, "apply_sunflower_edit", lambda oi, flower, k: (oi.instance, k - 1))
+        inst = planted(Family.BETWEENNESS, 3, 8, 3, 2)
+        with pytest.raises(KernelDriverError, match="clear exactly its own fault"):
+            kernelize_characterized(inst, 1, 4, exact_provider())
 
     def test_fast_is_not_served(self):
         with pytest.raises(SemanticsError):

@@ -1,9 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import consistent_instance
+from denserank import oracle
 from denserank.errors import DensityError, EmptyInstanceError, InvalidConstraintError
+from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.model import (
     Constraint,
     Family,
@@ -12,6 +16,7 @@ from denserank.model import (
     ProblemKind,
     Ranking,
     all_selected_values,
+    batch_verdict,
     constraint_total,
     edit_wrt,
     evaluate,
@@ -162,6 +167,37 @@ class TestEvaluate:
         a = Ranking((0, 1, 2, 3, 4, 5))
         b = Ranking((3, 1, 5, 2, 0, 4))
         assert evaluate(F3, c, a) == evaluate(F3, c, b) is True
+
+
+VERDICT_KINDS = [
+    ProblemKind(family, r)
+    for family, arities in (
+        (Family.FAST, (2, 3, 4)),
+        (Family.BETWEENNESS, (3, 4)),
+        (Family.TRANSITIVE_FAST, (3, 4)),
+    )
+    for r in arities
+]
+
+
+@settings(derandomize=True, deadline=None)
+@given(kind=st.sampled_from(VERDICT_KINDS), data=st.data())
+def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
+    n = data.draw(st.integers(kind.r, 8), label="n")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed))
+    sigma = Ranking(tuple(data.draw(st.permutations(range(n)), label="order")))
+    oi = OrderedInstance(inst, sigma)
+
+    rejected = [c for c in inst.constraints() if not evaluate(kind, c, sigma)]
+    assert inconsistent_constraints(oi) == rejected
+
+    row = oracle._positions(np.array([sigma.order], dtype=np.int8))
+    batch_faults = inst.constraint_count() - int(batch_verdict(inst)(row).sum())
+    assert fault_count(oi) == batch_faults == len(rejected)
+
+    for c in inst.constraints():
+        assert evaluate(kind, edit_wrt(kind, c, sigma), sigma)
 
 
 class TestSpans:
