@@ -58,10 +58,8 @@ class DegreeProfile:
 
 def in_degrees(inst: Instance) -> DegreeProfile:
     _require_fast(inst)
-    counts = [0] * inst.n
-    for c in inst.constraints():
-        counts[c.selected] += 1
-    return DegreeProfile(tuple(counts), inst.kind.r)
+    counts = np.bincount(inst.selected[:, 0], minlength=inst.n)
+    return DegreeProfile(tuple(counts.tolist()), inst.kind.r)
 
 
 def inc_degree_ranking(inst: Instance) -> Ranking:

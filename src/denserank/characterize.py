@@ -82,13 +82,12 @@ def single_fault_config(
     """Identity-ordered instance on `size` vertices where every
     constraint is satisfied except the one given."""
     identity = Ranking.identity(size)
-    constraints = [
-        Constraint(subset, satisfied_selected(kind, subset, identity))
+    satisfied = [
+        satisfied_selected(kind, subset, identity)
         for subset in itertools.combinations(range(size), kind.r)
     ]
-    inst = Instance(size, kind, constraints)
     fault = Constraint(tuple(sorted(fault_members)), fault_selected)
-    inst = inst.replace({fault.members: fault})
+    inst = Instance._from_table(size, kind, satisfied).replace({fault.members: fault})
     return SingleFaultConfig(OrderedInstance(inst, identity), fault)
 
 

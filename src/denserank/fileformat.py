@@ -14,17 +14,29 @@ serializing is the identity on canonically ordered files.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
+
+import numpy as np
 
 from .errors import (
     DuplicateRecordError,
     HeaderError,
+    InvalidConstraintError,
     RecordCountError,
     RecordSyntaxError,
     SelectedValueError,
     UnknownFamilyError,
 )
-from .model import Constraint, Family, Instance, ProblemKind, SelectedData
+from .model import (
+    Family,
+    Instance,
+    ProblemKind,
+    constraint_from_row,
+    selected_width,
+    subsets,
+    validate_constraint,
+)
 
 MAGIC = "rcsp"
 VERSION = "1"
@@ -32,19 +44,10 @@ VERSION = "1"
 _TAGS = {family.value: family for family in Family}
 
 
-def _selected_width(kind: ProblemKind) -> int:
-    if kind.family is Family.FAST:
-        return 1
-    if kind.family is Family.BETWEENNESS:
-        return 2
-    return kind.r
-
-
 def serialize(inst: Instance) -> str:
     lines = [f"{MAGIC} {VERSION} {inst.kind.family.value} {inst.n} {inst.kind.r}"]
-    for c in inst.constraints():
-        sel = (c.selected,) if isinstance(c.selected, int) else c.selected
-        lines.append(" ".join(str(x) for x in c.members + tuple(sel)))
+    rows = np.hstack([subsets(inst.n, inst.r), inst.selected]).tolist()
+    lines.extend(" ".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -68,8 +71,8 @@ def parse(text: str) -> Instance:
     except Exception:
         raise HeaderError(f"family {head[2]} does not admit arity {r}", 1) from None
 
-    width = r + _selected_width(kind)
-    records: dict[tuple[int, ...], Constraint] = {}
+    width = r + selected_width(kind)
+    records: dict[tuple[int, ...], list[int]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         tokens = raw.split()
         if len(tokens) != width:
@@ -85,47 +88,22 @@ def parse(text: str) -> Instance:
             raise RecordSyntaxError(f"members not strictly increasing: {members}", lineno)
         if members in records:
             raise DuplicateRecordError(f"second record for subset {members}", lineno)
-        sel = _parse_selected(kind, members, values[r:], lineno)
-        records[members] = Constraint(members, sel)
+        try:
+            validate_constraint(kind, constraint_from_row(kind, members, values[r:]))
+        except InvalidConstraintError as err:
+            raise SelectedValueError(str(err), lineno) from None
+        records[members] = values[r:]
 
-    expected = comb(n, r)
-    if len(records) != expected:
-        missing = _first_missing(n, r, records)
-        raise RecordCountError(
-            f"{len(records)} records, expected {expected}; first missing subset {missing}",
-            len(lines) + 1,
-        )
-    return Instance(n, kind, records.values())
-
-
-def _parse_selected(
-    kind: ProblemKind, members: tuple[int, ...], raw: list[int], lineno: int
-) -> SelectedData:
-    if kind.family is Family.FAST:
-        sel = raw[0]
-        if sel not in members:
-            raise SelectedValueError(f"selected {sel} is not a member of {members}", lineno)
-        return sel
-    if kind.family is Family.BETWEENNESS:
-        a, b = raw
-        if a not in members or b not in members:
-            raise SelectedValueError(f"selected pair {a},{b} not within {members}", lineno)
-        if not a < b:
-            raise SelectedValueError(f"selected pair must be increasing, got {a},{b}", lineno)
-        return (a, b)
-    sel = tuple(raw)
-    if tuple(sorted(sel)) != members:
-        raise SelectedValueError(f"selected order {sel} is not a permutation of {members}", lineno)
-    return sel
-
-
-def _first_missing(n: int, r: int, records: dict) -> tuple[int, ...]:
-    import itertools
-
+    rows = []
     for subset in itertools.combinations(range(n), r):
-        if subset not in records:
-            return subset
-    raise AssertionError("record count mismatch with no missing subset")
+        try:
+            rows.append(records[subset])
+        except KeyError:
+            raise RecordCountError(
+                f"{len(records)} records, expected {comb(n, r)}; first missing subset {subset}",
+                len(lines) + 1,
+            ) from None
+    return Instance._from_table(n, kind, rows)
 
 
 def load(path: str) -> Instance:

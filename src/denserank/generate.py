@@ -14,23 +14,15 @@ part of the format contract (see rng.py for the generator itself):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
 from .characterize import violating_selected_values
 from .errors import ConfigError
-from .model import (
-    Constraint,
-    Instance,
-    ProblemKind,
-    Ranking,
-    all_selected_values,
-    nth_combination,
-    satisfied_selected,
-)
+from .model import Instance, ProblemKind, Ranking, all_selected_values, satisfied_selected
 from .rng import SplitMix64
-import itertools
 
 
 class GenerationMode(Enum):
@@ -72,25 +64,21 @@ def generate_with_details(
     rng = SplitMix64(spec.seed)
     kind, n = spec.kind, spec.n
 
+    all_subsets = list(itertools.combinations(range(n), kind.r))
     if spec.mode is GenerationMode.UNIFORM:
-        constraints = []
-        for subset in itertools.combinations(range(n), kind.r):
+        selected = []
+        for subset in all_subsets:
             values = all_selected_values(kind, subset)
-            constraints.append(Constraint(subset, values[rng.below(len(values))]))
-        return Instance(n, kind, constraints), None, ()
+            selected.append(values[rng.below(len(values))])
+        return Instance._from_table(n, kind, selected), None, ()
 
     base = Ranking(tuple(rng.permutation(n)))
-    constraints = {}
-    for subset in itertools.combinations(range(n), kind.r):
-        constraints[subset] = Constraint(subset, satisfied_selected(kind, subset, base))
-    targets = tuple(
-        nth_combination(n, kind.r, idx)
-        for idx in rng.sample_indices(spec.edits, comb(n, kind.r))
-    )
-    for subset in targets:
-        values = violating_selected_values(kind, subset, base)
-        constraints[subset] = Constraint(subset, values[rng.below(len(values))])
-    return Instance(n, kind, constraints.values()), base, targets
+    selected = [satisfied_selected(kind, subset, base) for subset in all_subsets]
+    indices = rng.sample_indices(spec.edits, len(all_subsets))
+    for idx in indices:
+        values = violating_selected_values(kind, all_subsets[idx], base)
+        selected[idx] = values[rng.below(len(values))]
+    return Instance._from_table(n, kind, selected), base, tuple(all_subsets[idx] for idx in indices)
 
 
 def generate(spec: GeneratorSpec) -> Instance:

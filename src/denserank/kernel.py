@@ -32,12 +32,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import oracle
-from .approx import inc_degree_ranking
+from .approx import in_degrees, inc_degree_ranking
 from .characterize import default_conflict_size, single_fault_config, violating_selected_values
 from .errors import (
     ConfigError,
@@ -58,12 +59,12 @@ from .model import (
     batch_verdict,
     edit_wrt,
     evaluate,
-    fault_count,
     inconsistent_constraints,
     induced,
     satisfied_selected,
     span,
     span_minus,
+    subsets,
 )
 
 RankingProvider = Callable[[Instance], Ranking]
@@ -232,18 +233,22 @@ def find_fast_sunflower(
     return SimpleSunflower(center, tuple(extras))
 
 
-def _cyclic_triple(inst: Instance, a: VertexId, b: VertexId, c: VertexId) -> bool:
+def _pair_tournament(inst: Instance) -> np.ndarray:
+    """A[u, w] = 1 when the pair {u, w} selects w, so w must follow u."""
+    winner = inst.selected[:, 0]
+    tournament = np.zeros((inst.n, inst.n), dtype=np.int64)
+    tournament[subsets(inst.n, 2).sum(axis=1) - winner, winner] = 1
+    return tournament
+
+
+def _cyclic_triple(tournament, a: VertexId, b: VertexId, c: VertexId) -> bool:
     """True when the pair constraints among {a, b, c} admit no ranking.
 
     Each pair selects the member that must be ranked last; the triple is
-    unsatisfiable exactly when the three selected vertices are distinct,
-    so the pairs chain into a directed cycle.
+    unsatisfiable exactly when the pairs chain into a directed cycle,
+    a -> b -> c -> a or its reverse.
     """
-    sels = {
-        inst.constraint(tuple(sorted(pair))).selected
-        for pair in itertools.combinations((a, b, c), 2)
-    }
-    return len(sels) == 3
+    return tournament[a][b] == tournament[b][c] == tournament[c][a]
 
 
 def _find_conflict_packing(
@@ -268,6 +273,7 @@ def _find_conflict_packing(
         raise SemanticsError("conflict packing applies to pair constraints only")
     if evaluate(inst.kind, center, oi.sigma):
         raise PreconditionError("packing center must be violated by the ranking")
+    tournament = _pair_tournament(inst).tolist()
     u, w = center.members
     used = set(center.members)
     groups: list[tuple[VertexId, ...]] = []
@@ -277,19 +283,19 @@ def _find_conflict_packing(
         used.update(group)
 
     for s in oi.sigma.order:
-        if s not in used and _cyclic_triple(inst, u, w, s):
+        if s not in used and _cyclic_triple(tournament, u, w, s):
             take((s,))
     rest = [v for v in oi.sigma.order if v not in used]
     for x, y in itertools.combinations(rest, 2):
         if x in used or y in used:
             continue
-        if _cyclic_triple(inst, u, x, y) or _cyclic_triple(inst, w, x, y):
+        if _cyclic_triple(tournament, u, x, y) or _cyclic_triple(tournament, w, x, y):
             take((x, y))
     rest = [v for v in rest if v not in used]
     for x, y, z in itertools.combinations(rest, 3):
         if x in used or y in used or z in used:
             continue
-        if _cyclic_triple(inst, x, y, z):
+        if _cyclic_triple(tournament, x, y, z):
             take((x, y, z))
     if len(groups) <= k:
         return None
@@ -316,6 +322,7 @@ def _apply_packing_edit(
     kind = oi.instance.kind
     if evaluate(kind, center, oi.sigma):
         raise PreconditionError("packing center is already consistent with the ranking")
+    tournament = _pair_tournament(oi.instance).tolist()
     seen = set(center.members)
     for group in groups:
         for v in group:
@@ -324,7 +331,7 @@ def _apply_packing_edit(
             seen.add(v)
         petal = center.members + group
         if not any(
-            _cyclic_triple(oi.instance, a, b, c)
+            _cyclic_triple(tournament, a, b, c)
             for a, b, c in itertools.combinations(petal, 3)
         ):
             raise PreconditionError(f"group {group} forms no conflict with the center")
@@ -368,12 +375,9 @@ def always_selected_vertex(inst: Instance) -> Optional[VertexId]:
     """
     if inst.kind.family is not Family.FAST:
         raise SemanticsError("always-selected drops are a FAST rule")
-    ruled_out = [False] * inst.n
-    for c in inst.constraints():
-        for v in c.members:
-            if v != c.selected:
-                ruled_out[v] = True
-    hits = [v for v in range(inst.n) if not ruled_out[v]]
+    containing = comb(inst.n - 1, inst.r - 1)
+    counts = in_degrees(inst).counts
+    hits = [v for v in range(inst.n) if counts[v] == containing]
     if len(hits) > 1:
         raise KernelDriverError(f"multiple always-selected vertices {hits} in a dense instance")
     return hits[0] if hits else None
@@ -409,14 +413,11 @@ def cycle_free_vertex(inst: Instance) -> Optional[VertexId]:
     """
     if inst.kind.family is not Family.FAST or inst.kind.r != 2:
         raise SemanticsError("cycle-free drops apply to FAST pair instances only")
-    for v in range(inst.n):
-        others = [u for u in range(inst.n) if u != v]
-        in_cycle = any(
-            _cyclic_triple(inst, v, x, y) for x, y in itertools.combinations(others, 2)
-        )
-        if not in_cycle:
-            return v
-    return None
+    # With no 2-cycles, closed walks of length 3 are directed triangles.
+    tournament = _pair_tournament(inst)
+    in_cycle = ((tournament @ tournament) * tournament.T).sum(axis=1) > 0
+    free = np.flatnonzero(~in_cycle)
+    return int(free[0]) if free.size else None
 
 
 def drop_cycle_free_vertex(
@@ -595,7 +596,8 @@ def kernelize_characterized(
     width = conflict_size - kind.r
     sigma = provider(inst)
     oi = OrderedInstance(inst, sigma)
-    p0 = p = fault_count(oi)
+    faults = inconsistent_constraints(oi)
+    p0 = p = len(faults)
     trace: list[TraceRecord] = []
 
     while True:
@@ -605,7 +607,7 @@ def kernelize_characterized(
             return KernelOutcome(Verdict.TRIVIAL_NO, kind, None, None, p0, tuple(trace))
         if inst.n <= p * width + width * (k + 1) + kind.r:
             return KernelOutcome(Verdict.REDUCED, kind, inst, k, p0, tuple(trace))
-        center = inconsistent_constraints(oi)[0]
+        center = faults[0]
         flower = find_simple_sunflower(oi, center, conflict_size, k)
         if flower is None:
             raise KernelDriverError(
@@ -626,10 +628,10 @@ def kernelize_characterized(
         )
         inst, k = new_inst, new_k
         oi = OrderedInstance(inst, sigma)
-        new_p = fault_count(oi)
-        if new_p != p - 1:
-            raise KernelDriverError(f"an edit must clear exactly its own fault: p {p}->{new_p}")
-        p = new_p
+        faults = inconsistent_constraints(oi)
+        p, old_p = len(faults), p
+        if p != old_p - 1:
+            raise KernelDriverError(f"an edit must clear exactly its own fault: p {old_p}->{p}")
 
 
 def kernelize_fast(
@@ -670,7 +672,8 @@ def kernelize_fast(
     while True:
         sigma = inc_degree_ranking(inst)
         oi = OrderedInstance(inst, sigma)
-        p = fault_count(oi)
+        faults = inconsistent_constraints(oi)
+        p = len(faults)
         if p0 is None:
             p0 = p
 
@@ -707,7 +710,6 @@ def kernelize_fast(
             continue
 
         last = sigma.last()
-        faults = inconsistent_constraints(oi)
         centers = [c for c in faults if last in c.members]
         if not centers:
             raise KernelDriverError(

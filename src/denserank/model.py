@@ -10,9 +10,10 @@ constraint families are supported:
 * TRANSITIVE_FAST: the stored member order must agree with the ranking
   position by position.
 
-Constraints are stored keyed by their sorted member tuple, and every
-iteration over an instance is in lexicographic member order, so all
-downstream behaviour is deterministic.
+An instance stores its selected data as one read-only int64 table with
+one row per r-subset in lexicographic order, the members of row i being
+row i of `subsets(n, r)`, so all downstream behaviour is deterministic.
+Outside data is checked once, by `Instance(...)` or the file parser.
 
 Each family's verdict is written here once per form and nowhere else:
 `satisfied_selected` (scalar: the selected datum a ranking satisfies on
@@ -22,6 +23,7 @@ satisfied mask).  Everything that judges a ranking is built on these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -164,62 +166,103 @@ def all_selected_values(kind: ProblemKind, members: tuple[VertexId, ...]) -> lis
     return list(itertools.permutations(members))
 
 
+def selected_width(kind: ProblemKind) -> int:
+    """Integers per selected datum: a row's width in `Instance.selected`."""
+    if kind.family is Family.FAST:
+        return 1
+    if kind.family is Family.BETWEENNESS:
+        return 2
+    return kind.r
+
+
+@functools.lru_cache(maxsize=8)
+def subsets(n: int, r: int) -> np.ndarray:
+    """Members of every r-subset of 0..n-1, one row each, lexicographic (read-only)."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    table = np.fromiter(flat, dtype=np.int64, count=comb(n, r) * r).reshape(-1, r)
+    table.flags.writeable = False
+    return table
+
+
+def constraint_from_row(kind: ProblemKind, members: tuple[VertexId, ...], row: list) -> Constraint:
+    """The constraint on `members` whose selected datum is a table row."""
+    return Constraint(members, row[0] if kind.family is Family.FAST else tuple(row))
+
+
 class Instance:
     """Dense instance: one constraint per r-subset of 0..n-1."""
 
-    __slots__ = ("n", "kind", "_constraints")
+    __slots__ = ("n", "kind", "selected")
 
     def __init__(self, n: int, kind: ProblemKind, constraints: Iterable[Constraint]):
         if n < kind.r:
             raise EmptyInstanceError(f"need at least r={kind.r} vertices, got n={n}")
-        self.n = n
-        self.kind = kind
-        by_members: dict[tuple[VertexId, ...], Constraint] = {}
+        by_members: dict[tuple[VertexId, ...], SelectedData] = {}
         for c in constraints:
             validate_constraint(kind, c)
             if any(v < 0 or v >= n for v in c.members):
                 raise DensityError(f"constraint members {c.members} outside 0..{n - 1}")
             if c.members in by_members:
                 raise DensityError(f"duplicate constraint for subset {c.members}")
-            by_members[c.members] = c
-        # Rebuild in lexicographic order; this also finds any missing subset.
-        table: dict[tuple[VertexId, ...], Constraint] = {}
+            by_members[c.members] = c.selected
+        # Gather in lexicographic order; this also finds any missing subset.
+        rows = []
         for subset in itertools.combinations(range(n), kind.r):
             try:
-                table[subset] = by_members[subset]
+                rows.append(by_members[subset])
             except KeyError:
                 raise DensityError(f"missing constraint for subset {subset}") from None
-        self._constraints = table
+        self.n, self.kind, self.selected = n, kind, Instance._from_table(n, kind, rows).selected
+
+    @classmethod
+    def _from_table(cls, n: int, kind: ProblemKind, selected) -> "Instance":
+        """Package-internal constructor that checks nothing.
+
+        `selected` is a (C(n, r), width) table, or a sequence of valid
+        selected data, in lexicographic subset order.
+        """
+        inst = cls.__new__(cls)
+        inst.n, inst.kind = n, kind
+        inst.selected = np.asarray(selected, dtype=np.int64).reshape(-1, selected_width(kind))
+        inst.selected.flags.writeable = False
+        return inst
 
     @property
     def r(self) -> int:
         return self.kind.r
 
     def constraint_count(self) -> int:
-        return len(self._constraints)
+        return len(self.selected)
 
     def constraints(self) -> Iterator[Constraint]:
         """All constraints, lexicographic by member tuple."""
-        return iter(self._constraints.values())
+        members = itertools.combinations(range(self.n), self.r)
+        rows = self.selected.tolist()
+        return (constraint_from_row(self.kind, m, row) for m, row in zip(members, rows))
+
+    def _row(self, members: Iterable[VertexId]) -> tuple[tuple[VertexId, ...], int]:
+        """The sorted member tuple and its lexicographic rank."""
+        key = tuple(sorted(members))
+        n, r = self.n, self.r
+        valid = len(key) == r and 0 <= key[0] and key[-1] < n
+        if not valid or any(key[i] == key[i + 1] for i in range(r - 1)):
+            raise DensityError(f"no constraint for subset {key}")
+        return key, comb(n, r) - 1 - sum(comb(n - 1 - v, r - i) for i, v in enumerate(key))
 
     def constraint(self, members: Iterable[VertexId]) -> Constraint:
-        key = tuple(sorted(members))
-        try:
-            return self._constraints[key]
-        except KeyError:
-            raise DensityError(f"no constraint for subset {key}") from None
+        key, row = self._row(members)
+        return constraint_from_row(self.kind, key, self.selected[row].tolist())
 
     def replace(self, changes: Mapping[tuple[VertexId, ...], Constraint]) -> "Instance":
         """New instance with the given subsets' constraints swapped out."""
-        updated = dict(self._constraints)
+        table = self.selected.copy()
         for key, c in changes.items():
-            key = tuple(sorted(key))
-            if key not in updated:
-                raise DensityError(f"no constraint for subset {key}")
+            key, row = self._row(key)
             if c.members != key:
                 raise InvalidConstraintError(f"replacement members {c.members} != subset {key}")
-            updated[key] = c
-        return Instance(self.n, self.kind, updated.values())
+            validate_constraint(self.kind, c)
+            table[row] = c.selected
+        return Instance._from_table(self.n, self.kind, table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -227,7 +270,7 @@ class Instance:
         return (
             self.n == other.n
             and self.kind == other.kind
-            and self._constraints == other._constraints
+            and np.array_equal(self.selected, other.selected)
         )
 
     def __repr__(self) -> str:
@@ -274,20 +317,18 @@ def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
     positions (row[v] is the position of vertex v) to the (m, C) mask of
     satisfied constraints, columns in lexicographic member order.
     """
-    cs = list(inst.constraints())
-    members = np.array([c.members for c in cs], dtype=np.int64)
-    total = len(cs)
+    members = subsets(inst.n, inst.r)
+    columns = np.ascontiguousarray(inst.selected.T)
     family = inst.kind.family
 
     if family is Family.FAST:
-        sel = np.array([c.selected for c in cs], dtype=np.int64)
+        (sel,) = columns
 
         def verdict(pos: np.ndarray) -> np.ndarray:
             return pos[:, sel] == pos[:, members].max(axis=2)
 
     elif family is Family.BETWEENNESS:
-        first = np.array([c.selected[0] for c in cs], dtype=np.int64)
-        second = np.array([c.selected[1] for c in cs], dtype=np.int64)
+        first, second = columns
 
         def verdict(pos: np.ndarray) -> np.ndarray:
             mp = pos[:, members]
@@ -298,13 +339,12 @@ def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
             return ((pa == lo) & (pb == hi)) | ((pa == hi) & (pb == lo))
 
     else:
-        chain = np.array([c.selected for c in cs], dtype=np.int64)
 
         def verdict(pos: np.ndarray) -> np.ndarray:
-            ok = np.ones((pos.shape[0], total), dtype=bool)
-            left = pos[:, chain[:, 0]]
-            for j in range(1, chain.shape[1]):
-                right = pos[:, chain[:, j]]
+            ok = np.ones((pos.shape[0], len(members)), dtype=bool)
+            left = pos[:, columns[0]]
+            for column in columns[1:]:
+                right = pos[:, column]
                 ok &= left < right
                 left = right
             return ok
@@ -319,9 +359,12 @@ def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:
 
 def inconsistent_constraints(oi: OrderedInstance) -> list[Constraint]:
     """Constraints the ranking violates, lexicographic by members."""
-    cs = list(oi.instance.constraints())
-    ok = batch_verdict(oi.instance)(np.array([oi.sigma.position], dtype=np.int64))[0]
-    return [cs[i] for i in np.flatnonzero(~ok)]
+    inst = oi.instance
+    ok = batch_verdict(inst)(np.array([oi.sigma.position], dtype=np.int64))[0]
+    bad = np.flatnonzero(~ok)
+    members = map(tuple, subsets(inst.n, inst.r)[bad].tolist())
+    rows = inst.selected[bad].tolist()
+    return [constraint_from_row(inst.kind, m, row) for m, row in zip(members, rows)]
 
 
 def fault_count(oi: OrderedInstance) -> int:
@@ -367,21 +410,12 @@ def induced(
     if kept[0] < 0 or kept[-1] >= inst.n:
         raise DensityError(f"subset {kept} not within 0..{inst.n - 1}")
     relabel = {v: i for i, v in enumerate(kept)}
-
-    def map_selected(sel: SelectedData) -> SelectedData:
-        if isinstance(sel, int):
-            return relabel[sel]
-        return tuple(relabel[v] for v in sel)
-
-    new_constraints = []
-    for old_members in itertools.combinations(kept, r):
-        c = inst.constraint(old_members)
-        new_members = tuple(relabel[v] for v in c.members)
-        sel = map_selected(c.selected)
-        if inst.kind.family is Family.BETWEENNESS:
-            sel = tuple(sorted(sel))
-        new_constraints.append(Constraint(new_members, sel))
-    return Instance(len(kept), inst.kind, new_constraints), relabel
+    # The relabel is monotone, so kept rows stay in lexicographic order
+    # and BETWEENNESS pairs stay increasing.
+    lookup = np.full(inst.n, -1, dtype=np.int64)
+    lookup[kept] = np.arange(len(kept))
+    rows = (lookup[subsets(inst.n, r)] >= 0).all(axis=1)
+    return Instance._from_table(len(kept), inst.kind, lookup[inst.selected[rows]]), relabel
 
 
 def induced_ordered(

@@ -14,6 +14,7 @@ from denserank.cli import main
 from denserank.model import Constraint, Family, ProblemKind
 
 F2 = ProblemKind(Family.FAST, 2)
+GOLDEN_KERNEL_DIR = Path(__file__).parent / "golden" / "kernel"
 
 
 def run(capsys, *argv):
@@ -153,6 +154,38 @@ class TestKernelize:
         with pytest.raises(SystemExit) as exc:
             main(["kernelize", path])
         assert exc.value.code == 2
+
+    # Sizes where both drop rules and sunflower edits fire; the expected
+    # stdout, kernel file and trace file are frozen byte for byte.
+    @pytest.mark.parametrize(
+        "name,gen_argv,kernel_argv",
+        [
+            ("fast_r2_n45", ("fast", "2", "45", "6", "3"), ("--k", "3")),
+            ("fast_r3_n32", ("fast", "3", "32", "6", "4"), ("--k", "3")),
+            (
+                "tfast_r3_n16",
+                ("tfast", "3", "16", "4", "2"),
+                ("--k", "2", "--provider", "localsearch"),
+            ),
+        ],
+    )
+    def test_golden_kernel_outputs(self, capsys, tmp_path, name, gen_argv, kernel_argv):
+        family, r, n, edits, seed = gen_argv
+        path = gen_file(
+            capsys, tmp_path, "in.rcsp",
+            "--family", family, "--r", r, "--n", n, "--edits", edits, "--seed", seed,
+        )
+        kernel_out = tmp_path / "kernel.txt"
+        trace_out = tmp_path / "trace.txt"
+        code, out, err = run(
+            capsys, "kernelize", path, *kernel_argv,
+            "--out", str(kernel_out), "--trace-out", str(trace_out),
+        )
+        assert (code, err) == (0, "")
+        golden = GOLDEN_KERNEL_DIR / name
+        assert out == golden.with_suffix(".stdout.txt").read_text(encoding="ascii")
+        assert kernel_out.read_bytes() == golden.with_suffix(".kernel.txt").read_bytes()
+        assert trace_out.read_bytes() == golden.with_suffix(".trace.txt").read_bytes()
 
 
 class TestVerifyLemmas:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import consistent_instance
 from denserank.errors import (
@@ -10,6 +11,7 @@ from denserank.errors import (
     UnknownFamilyError,
 )
 from denserank.fileformat import dump, load, parse, serialize
+from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.model import Family, ProblemKind
 
 F2 = ProblemKind(Family.FAST, 2)
@@ -107,3 +109,80 @@ class TestParseErrors:
             parse(text)
         assert "(0, 2)" in str(err.value)
         assert err.value.line == 4
+
+
+FORMAT_KINDS = [
+    ProblemKind(family, r)
+    for family, arities in (
+        (Family.FAST, (2, 3, 4)),
+        (Family.BETWEENNESS, (3, 4)),
+        (Family.TRANSITIVE_FAST, (3, 4)),
+    )
+    for r in arities
+]
+
+
+def drawn_instance(data, min_extra=0):
+    kind = data.draw(st.sampled_from(FORMAT_KINDS), label="kind")
+    n = data.draw(st.integers(kind.r + min_extra, 8), label="n")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    return generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed))
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parse_inverts_serialize(data):
+    inst = drawn_instance(data)
+    assert parse(serialize(inst)) == inst
+
+
+def _bad_selected(kind, n, members, selected):
+    if kind.family is Family.FAST:
+        return [next(v for v in range(n + 1) if v not in members)]
+    if kind.family is Family.BETWEENNESS:
+        return selected[::-1]
+    return selected[1:2] + selected[1:]
+
+
+MUTATIONS = ("member-range", "member-order", "duplicate", "selected", "dropped", "token-count")
+
+
+@settings(derandomize=True, deadline=None)
+@given(mutation=st.sampled_from(MUTATIONS), data=st.data())
+def test_each_single_record_change_is_rejected_at_its_line(mutation, data):
+    inst = drawn_instance(data, min_extra=1)
+    kind, r = inst.kind, inst.r
+    lines = serialize(inst).splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1), label="record line index")
+    values = [int(t) for t in lines[i].split()]
+    members, selected = values[:r], values[r:]
+    line = i + 1
+    if mutation == "member-range":
+        members[data.draw(st.integers(0, r - 1), label="slot")] = inst.n
+        expected = RecordSyntaxError
+    elif mutation == "member-order":
+        members = members[::-1]
+        expected = RecordSyntaxError
+    elif mutation == "duplicate":
+        j = data.draw(st.integers(1, len(lines) - 2), label="copied line index")
+        j += j >= i
+        copied = [int(t) for t in lines[j].split()]
+        members, selected = copied[:r], copied[r:]
+        line = max(i, j) + 1
+        expected = DuplicateRecordError
+    elif mutation == "selected":
+        selected = _bad_selected(kind, inst.n, members, selected)
+        expected = SelectedValueError
+    elif mutation == "token-count":
+        selected = selected + [0] if data.draw(st.booleans(), label="longer") else selected[:-1]
+        expected = RecordSyntaxError
+    if mutation == "dropped":
+        del lines[i]
+        line = len(lines) + 1
+        expected = RecordCountError
+    else:
+        lines[i] = " ".join(str(v) for v in members + selected)
+    with pytest.raises(expected) as err:
+        parse("\n".join(lines) + "\n")
+    assert type(err.value) is expected
+    assert err.value.line == line

@@ -1,11 +1,14 @@
+import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import consistent_instance
 from denserank import kernel, oracle
-from denserank.approx import inc_degree_ranking
+from denserank.approx import DegreeProfile, inc_degree_ranking
 from denserank.characterize import violating_selected_values
+from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.errors import (
     ConfigError,
     KernelDriverError,
@@ -210,7 +213,7 @@ class TestVertexDrops:
 
     def test_two_always_selected_vertices_fail_loudly(self, monkeypatch):
         inst = consistent_instance(F2, 4)
-        monkeypatch.setattr(Instance, "constraints", lambda self: iter(()))
+        monkeypatch.setattr(kernel, "in_degrees", lambda inst: DegreeProfile((3, 3, 0, 0), 2))
         with pytest.raises(KernelDriverError, match="multiple always-selected"):
             always_selected_vertex(inst)
 
@@ -245,6 +248,25 @@ class TestCycleFreeDrops:
             [Constraint((0, 1), 0), Constraint((1, 2), 1), Constraint((0, 2), 2)],
         )
         assert cycle_free_vertex(inst) is None
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_cyclic_triple_definition(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        edits = data.draw(st.integers(0, min(8, n * (n - 1) // 2)), label="edits")
+        mode = GenerationMode.UNIFORM if edits == 0 else GenerationMode.PLANTED
+        inst = generate(GeneratorSpec(F2, n, mode, seed, edits=edits))
+        winner = {c.members: c.selected for c in inst.constraints()}
+
+        def cyclic(triple):
+            return len({winner[pair] for pair in itertools.combinations(triple, 2)}) == 3
+
+        free = [
+            v for v in range(n)
+            if not any(cyclic(t) for t in itertools.combinations(range(n), 3) if v in t)
+        ]
+        assert cycle_free_vertex(inst) == (free[0] if free else None)
 
     def test_subsumes_the_always_selected_drop(self, uniform):
         for seed in range(40):

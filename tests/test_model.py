@@ -288,3 +288,62 @@ class TestCombinatorics:
     def test_nth_combination_bounds(self):
         with pytest.raises(IndexError):
             nth_combination(5, 2, 10)
+
+
+def _rebuilt_induced(inst, keep):
+    """`induced` written constraint by constraint through the public constructor."""
+    relabel = {v: i for i, v in enumerate(sorted(keep))}
+    rebuilt = []
+    for c in inst.constraints():
+        if not set(c.members) <= relabel.keys():
+            continue
+        members = tuple(relabel[v] for v in c.members)
+        if inst.kind.family is Family.FAST:
+            sel = relabel[c.selected]
+        elif inst.kind.family is Family.BETWEENNESS:
+            sel = tuple(sorted(relabel[v] for v in c.selected))
+        else:
+            sel = tuple(relabel[v] for v in c.selected)
+        rebuilt.append(Constraint(members, sel))
+    return Instance(len(relabel), inst.kind, rebuilt)
+
+
+@settings(derandomize=True, deadline=None)
+@given(kind=st.sampled_from(VERDICT_KINDS), data=st.data())
+def test_table_operations_match_a_constraint_by_constraint_rebuild(kind, data):
+    n = data.draw(st.integers(kind.r, 8), label="n")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed))
+    assert inst == Instance(n, kind, inst.constraints())
+
+    keep = data.draw(st.sets(st.integers(0, n - 1), min_size=kind.r), label="keep")
+    sub, _ = induced(inst, keep)
+    assert sub == _rebuilt_induced(inst, keep)
+
+    edited = data.draw(
+        st.lists(st.sampled_from(list(itertools.combinations(range(n), kind.r))), unique=True),
+        label="edited subsets",
+    )
+    changes = {
+        m: Constraint(m, data.draw(st.sampled_from(all_selected_values(kind, m)), label="value"))
+        for m in edited
+    }
+    before = list(inst.constraints())
+    new = inst.replace(changes)
+    assert new == Instance(n, kind, [changes.get(c.members, c) for c in inst.constraints()])
+    assert list(inst.constraints()) == before
+
+
+def test_selected_tables_are_read_only(planted):
+    inst = planted(Family.BETWEENNESS, 3, 6, 1, 2)
+    derived = [
+        Instance(inst.n, inst.kind, inst.constraints()),
+        inst.replace({(0, 1, 2): Constraint((0, 1, 2), (0, 2))}),
+        induced(inst, [0, 2, 3, 5])[0],
+        inst,
+    ]
+    for table in [d.selected for d in derived]:
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    for d in derived[:-1]:
+        assert not np.shares_memory(d.selected, inst.selected)
