@@ -20,7 +20,6 @@ from .model import (
     fault_count,
     inconsistent_constraints,
     induced,
-    induced_ordered,
     span,
     span_minus,
 )

@@ -26,7 +26,7 @@ from .model import (
     Ranking,
     batch_verdict,
     fault_count,
-    satisfied_selected,
+    subsets,
 )
 
 
@@ -117,18 +117,14 @@ def degree_gap_slack(inst: Instance, rho: Ranking) -> DegreeGapReport:
     inequality is left to the caller as a slack.
     """
     _require_fast(inst)
-    kind = inst.kind
     n = inst.n
-    late_sel = [0] * n
-    late_unsel = [0] * n
-    early_sel = [0] * n
-    for c in inst.constraints():
-        last = satisfied_selected(kind, c.members, rho)
-        if c.selected == last:
-            late_sel[last] += 1
-        else:
-            late_unsel[last] += 1
-            early_sel[c.selected] += 1
+    # the last-ranked member of every constraint against its selected one
+    last = np.array(rho.order)[np.array(rho.position)[subsets(n, inst.r)].max(axis=1)]
+    selected = inst.selected[:, 0]
+    ok = last == selected
+    late_sel = np.bincount(last[ok], minlength=n).tolist()
+    late_unsel = np.bincount(last[~ok], minlength=n).tolist()
+    early_sel = np.bincount(selected[~ok], minlength=n).tolist()
 
     profile = in_degrees(inst)
     lefts = left_counts(rho, inst.kind.r)

@@ -77,33 +77,22 @@ def cmd_approx(args) -> int:
     return EXIT_OK
 
 
-def _provider_by_name(name: str, cap: int):
-    if name == "exact":
-        return kernel.exact_provider(cap)
-    if name == "incdegree":
-        return kernel.incdegree_provider
-    return kernel.local_search_provider
+def _kernelize(args, inst: Instance, k: int, debug_oracle_checks: bool = False):
+    """The family's kernel driver on `inst`; the characterized driver
+    takes its ranking from the provider named by --provider."""
+    if inst.kind.family is Family.FAST:
+        return kernel.kernelize_fast(inst, k, debug_oracle_checks, args.oracle_cap)
+    if args.provider == "exact":
+        provider = kernel.exact_provider(args.oracle_cap)
+    elif args.provider == "incdegree":
+        provider = kernel.incdegree_provider
+    else:
+        provider = kernel.local_search_provider
+    return kernel.kernelize_characterized(inst, k, provider, debug_oracle_checks, args.oracle_cap)
 
 
 def cmd_kernelize(args) -> int:
-    inst = fileformat.load(args.instance)
-    if inst.kind.family is Family.FAST:
-        outcome = kernel.kernelize_fast(
-            inst,
-            args.k,
-            debug_oracle_checks=args.debug_oracle_checks,
-            oracle_cap=args.oracle_cap,
-        )
-    else:
-        size = args.conflict_size or kernel.default_conflict_size(inst.kind)
-        outcome = kernel.kernelize_characterized(
-            inst,
-            args.k,
-            size,
-            _provider_by_name(args.provider, args.oracle_cap),
-            debug_oracle_checks=args.debug_oracle_checks,
-            oracle_cap=args.oracle_cap,
-        )
+    outcome = _kernelize(args, fileformat.load(args.instance), args.k, args.debug_oracle_checks)
     print(f"verdict={outcome.verdict.value}")
     print(f"p0={outcome.p0}")
     print(f"rules: edits={outcome.edit_count()} drops={outcome.drop_count()}")
@@ -219,15 +208,7 @@ def cmd_bench(args) -> int:
                     edits=edits if mode is GenerationMode.PLANTED else 0,
                 )
                 inst = build_instance(spec)
-                if kind.family is Family.FAST:
-                    outcome = kernel.kernelize_fast(inst, k)
-                else:
-                    outcome = kernel.kernelize_characterized(
-                        inst,
-                        k,
-                        kernel.default_conflict_size(kind),
-                        _provider_by_name(args.provider, args.oracle_cap),
-                    )
+                outcome = _kernelize(args, inst, k)
                 reduced, k_out = outcome.materialize()
                 ratio = ""
                 if kind.family is Family.FAST and n <= args.oracle_cap:
@@ -318,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="ranking source for non-FAST families (FAST always uses incdegree)",
     )
-    p.add_argument("--conflict-size", type=int, default=None)
     p.add_argument("--debug-oracle-checks", action="store_true")
     p.add_argument("--out", default=None, help="write the kernel instance here")
     p.add_argument("--trace-out", default=None, help="write the rule trace here")

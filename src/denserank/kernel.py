@@ -9,17 +9,18 @@ current ranking; doing so and decrementing k preserves the answer.
 
 Two drivers are provided.  `kernelize_characterized` works for the
 families whose single faults certify bounded conflicts (BETWEENNESS,
-TRANSITIVE_FAST) with petals of a configurable width; the ranking comes
-from a pluggable provider, is kept for the whole run, and its fault
-count p bounds the output size.  `kernelize_fast` is the FAST pipeline:
-every round recomputes the Inc-Degree ranking of the current instance,
-gates on its fault count p (YES at p <= k, NO at p > 5k by the
-5-approximation), drops always-selected vertices exhaustively, and
-otherwise flips one violated constraint certified by more than k
-petals, terminating with at most p + k + r vertices.  Pair constraints
-get an extra certificate: when single-vertex petals run short, disjoint
-vertex groups that each close a directed cycle with the center stand in
-for them (the groups need not be single-fault, only conflicts).
+TRANSITIVE_FAST) with petals of the family's certified width (its
+conflict size minus r); the ranking comes from a pluggable provider,
+is kept for the whole run, and its fault count p bounds the output
+size.  `kernelize_fast` is the FAST pipeline: every round recomputes
+the Inc-Degree ranking of the current instance, gates on its fault
+count p (YES at p <= k, NO at p > 5k by the 5-approximation), drops
+always-selected vertices exhaustively, and otherwise flips one violated
+constraint certified by more than k petals, terminating with at most
+p + k + r vertices.  Pair constraints get an extra certificate: when
+single-vertex petals run short, disjoint vertex groups that each close
+a directed cycle with the center stand in for them (the groups need not
+be single-fault, only conflicts).
 
 All rule applications land in the outcome's trace, one record per
 application, so a reduction can be replayed or audited line by line.
@@ -32,8 +33,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import comb
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from . import oracle
 from .approx import in_degrees, inc_degree_ranking
 from .characterize import default_conflict_size, single_fault_config, violating_selected_values
 from .errors import (
-    ConfigError,
     KernelDriverError,
     PreconditionError,
     RuleInapplicableError,
@@ -124,7 +125,10 @@ def local_search_provider(inst: Instance) -> Ranking:
 
 @dataclass(frozen=True)
 class SimpleSunflower:
-    """Center constraint plus pairwise-disjoint petal extensions."""
+    """Center constraint plus pairwise-disjoint petal extensions.
+
+    Also carries conflict packings, whose extras are the vertex groups.
+    """
 
     center: Constraint
     extras: tuple[tuple[VertexId, ...], ...]
@@ -146,6 +150,11 @@ class SimpleSunflower:
             yield tuple(sorted(self.center.members + extra))
 
 
+def _require_violated(oi: OrderedInstance, center: Constraint) -> None:
+    if evaluate(oi.instance.kind, center, oi.sigma):
+        raise PreconditionError(f"center {center.members} is already consistent with the ranking")
+
+
 def _petal_is_single_fault(
     oi: OrderedInstance, center: Constraint, petal: tuple[VertexId, ...]
 ) -> bool:
@@ -165,39 +174,37 @@ def _petal_is_single_fault(
     return True
 
 
-def _validate_characterized(kind: ProblemKind, conflict_size: int) -> None:
-    expected = default_conflict_size(kind)
-    if conflict_size != expected:
-        raise ConfigError(
-            f"{kind.family.value} at r={kind.r} certifies conflicts of size {expected}, "
-            f"got {conflict_size}"
-        )
+def _single_fault_sunflower(
+    oi: OrderedInstance,
+    center: Constraint,
+    candidates: Iterable[tuple[VertexId, ...]],
+    k: int,
+) -> Optional[SimpleSunflower]:
+    """The candidate extras whose petal is single-fault, as a sunflower;
+    None unless more than k of them survive."""
+    _require_violated(oi, center)
+    extras = tuple(
+        extra
+        for extra in candidates
+        if _petal_is_single_fault(oi, center, tuple(sorted(center.members + extra)))
+    )
+    return SimpleSunflower(center, extras) if len(extras) > k else None
 
 
 def find_simple_sunflower(
-    oi: OrderedInstance, center: Constraint, conflict_size: int, k: int
+    oi: OrderedInstance, center: Constraint, k: int
 ) -> Optional[SimpleSunflower]:
-    """Greedy disjoint petals of width conflict_size - r around `center`.
+    """Greedy disjoint petals of the family's certified width around `center`.
 
-    Non-center vertices are chunked in ranking order, first fit; a chunk
-    survives if the center is the only violated constraint in its petal.
-    Returns None when fewer than k + 1 petals survive.
+    The width is the conflict size minus r.  Non-center vertices are
+    chunked in ranking order, first fit; a chunk survives if the center
+    is the only violated constraint in its petal.  Returns None when
+    fewer than k + 1 petals survive.
     """
-    kind = oi.instance.kind
-    _validate_characterized(kind, conflict_size)
-    if evaluate(kind, center, oi.sigma):
-        raise PreconditionError("sunflower center must be violated by the ranking")
-    width = conflict_size - kind.r
+    width = default_conflict_size(oi.instance.kind) - oi.instance.r
     pool = [v for v in oi.sigma.order if v not in center.members]
-    extras = []
-    for i in range(0, len(pool) - width + 1, width):
-        extra = tuple(pool[i : i + width])
-        petal = tuple(sorted(center.members + extra))
-        if _petal_is_single_fault(oi, center, petal):
-            extras.append(extra)
-    if len(extras) < k + 1:
-        return None
-    return SimpleSunflower(center, tuple(extras))
+    chunks = (tuple(pool[i : i + width]) for i in range(0, len(pool) - width + 1, width))
+    return _single_fault_sunflower(oi, center, chunks, k)
 
 
 def find_fast_sunflower(
@@ -215,22 +222,9 @@ def find_fast_sunflower(
     kind = oi.instance.kind
     if kind.family is not Family.FAST:
         raise SemanticsError("find_fast_sunflower needs a FAST instance")
-    if evaluate(kind, center, oi.sigma):
-        raise PreconditionError("sunflower center must be violated by the ranking")
-    members = set(center.members)
-    if kind.r == 2:
-        inner, _ = span(center, oi.sigma)
-        candidates = [v for v in inner if v not in members]
-    else:
-        candidates = [v for v in span_minus(center, oi.sigma) if v not in members]
-    extras = []
-    for v in candidates:
-        petal = tuple(sorted(center.members + (v,)))
-        if _petal_is_single_fault(oi, center, petal):
-            extras.append((v,))
-    if len(extras) < k + 1:
-        return None
-    return SimpleSunflower(center, tuple(extras))
+    pool = span(center, oi.sigma)[0] if kind.r == 2 else span_minus(center, oi.sigma)
+    candidates = ((v,) for v in pool if v not in center.members)
+    return _single_fault_sunflower(oi, center, candidates, k)
 
 
 def _pair_tournament(inst: Instance) -> np.ndarray:
@@ -253,7 +247,7 @@ def _cyclic_triple(tournament, a: VertexId, b: VertexId, c: VertexId) -> bool:
 
 def _find_conflict_packing(
     oi: OrderedInstance, center: Constraint, k: int
-) -> Optional[tuple[tuple[VertexId, ...], ...]]:
+) -> Optional[SimpleSunflower]:
     """Disjoint vertex groups each forming a conflict with a violated pair.
 
     Pair constraints only.  Interior single-vertex petals can run dry at
@@ -266,13 +260,13 @@ def _find_conflict_packing(
     Groups are collected greedily in ranking order, smallest first:
     single vertices closing a cycle with both center members, then pairs
     closing a cycle with exactly one member, then free-standing cyclic
-    triples.  Returns None when at most k groups are found.
+    triples.  They come back as the extras of a sunflower; None when at
+    most k groups are found.
     """
     inst = oi.instance
     if inst.kind.r != 2:
         raise SemanticsError("conflict packing applies to pair constraints only")
-    if evaluate(inst.kind, center, oi.sigma):
-        raise PreconditionError("packing center must be violated by the ranking")
+    _require_violated(oi, center)
     tournament = _pair_tournament(inst).tolist()
     u, w = center.members
     used = set(center.members)
@@ -297,74 +291,62 @@ def _find_conflict_packing(
             continue
         if _cyclic_triple(tournament, x, y, z):
             take((x, y, z))
-    if len(groups) <= k:
-        return None
-    return tuple(groups)
-
-
-def _apply_packing_edit(
-    oi: OrderedInstance,
-    center: Constraint,
-    groups: tuple[tuple[VertexId, ...], ...],
-    k: int,
-) -> tuple[Instance, int]:
-    """Flip a violated pair certified by a conflict packing, decrement k.
-
-    A pair has one alternative value, so once the packing shows every
-    k-budget solution edits the center, the flip itself is forced; the
-    answer is preserved exactly.  Verifies the packing like
-    apply_sunflower_edit does before touching the instance.
-    """
-    if len(groups) <= k:
-        raise RuleInapplicableError(
-            f"packing has {len(groups)} conflict groups, need more than k={k}"
-        )
-    kind = oi.instance.kind
-    if evaluate(kind, center, oi.sigma):
-        raise PreconditionError("packing center is already consistent with the ranking")
-    tournament = _pair_tournament(oi.instance).tolist()
-    seen = set(center.members)
-    for group in groups:
-        for v in group:
-            if v in seen:
-                raise PreconditionError(f"group vertex {v} reused across the packing")
-            seen.add(v)
-        petal = center.members + group
-        if not any(
-            _cyclic_triple(tournament, a, b, c)
-            for a, b, c in itertools.combinations(petal, 3)
-        ):
-            raise PreconditionError(f"group {group} forms no conflict with the center")
-    edited = edit_wrt(kind, center, oi.sigma)
-    return oi.instance.replace({center.members: edited}), k - 1
+    return SimpleSunflower(center, tuple(groups)) if len(groups) > k else None
 
 
 # ---------------------------------------------------------------------------
 # rules
 
 
-def apply_sunflower_edit(
-    oi: OrderedInstance, flower: SimpleSunflower, k: int
+def _certified_edit(
+    oi: OrderedInstance,
+    flower: SimpleSunflower,
+    k: int,
+    petal_ok: Callable[[tuple[VertexId, ...]], bool],
 ) -> tuple[Instance, int]:
     """Edit the center to agree with the ranking and decrement k.
 
     Sound only when the petal count exceeds k, since then no k-edit
     solution can leave the center untouched or disagree with the
-    ranking on it.  The petal premise is re-verified here; a stale
-    sunflower is a caller bug worth failing loudly on.
+    ranking on it.  The center and every petal are re-verified here; a
+    stale certificate is a caller bug worth failing loudly on.
     """
     if flower.petal_count <= k:
         raise RuleInapplicableError(
-            f"sunflower has {flower.petal_count} petals, need more than k={k}"
+            f"certificate has {flower.petal_count} petals, need more than k={k}"
         )
-    kind = oi.instance.kind
-    if evaluate(kind, flower.center, oi.sigma):
-        raise PreconditionError("sunflower center is already consistent with the ranking")
+    _require_violated(oi, flower.center)
     for petal in flower.petals():
-        if not _petal_is_single_fault(oi, flower.center, petal):
-            raise PreconditionError(f"petal {petal} is not single-fault; sunflower is stale")
-    edited = edit_wrt(kind, flower.center, oi.sigma)
+        if not petal_ok(petal):
+            raise PreconditionError(f"petal {petal} fails its check; the certificate is stale")
+    edited = edit_wrt(oi.instance.kind, flower.center, oi.sigma)
     return oi.instance.replace({flower.center.members: edited}), k - 1
+
+
+def apply_sunflower_edit(
+    oi: OrderedInstance, flower: SimpleSunflower, k: int
+) -> tuple[Instance, int]:
+    """The certified edit, for petals that must be single-fault."""
+    return _certified_edit(oi, flower, k, partial(_petal_is_single_fault, oi, flower.center))
+
+
+def _apply_packing_edit(
+    oi: OrderedInstance, packing: SimpleSunflower, k: int
+) -> tuple[Instance, int]:
+    """The certified edit, for groups that must close a directed cycle.
+
+    A pair has one alternative value, so once the packing shows every
+    k-budget solution edits the center, the flip itself is forced; the
+    answer is preserved exactly.
+    """
+    tournament = _pair_tournament(oi.instance).tolist()
+
+    def closes_cycle(petal: tuple[VertexId, ...]) -> bool:
+        return any(
+            _cyclic_triple(tournament, a, b, c) for a, b, c in itertools.combinations(petal, 3)
+        )
+
+    return _certified_edit(oi, packing, k, closes_cycle)
 
 
 def always_selected_vertex(inst: Instance) -> Optional[VertexId]:
@@ -383,6 +365,16 @@ def always_selected_vertex(inst: Instance) -> Optional[VertexId]:
     return hits[0] if hits else None
 
 
+def _drop(
+    inst: Instance, v: Optional[VertexId]
+) -> Optional[tuple[Instance, VertexId, dict[VertexId, VertexId]]]:
+    """The instance without `v` (when there is one), `v` and the relabel map."""
+    if v is None:
+        return None
+    reduced, relabel = induced(inst, [u for u in range(inst.n) if u != v])
+    return reduced, v, relabel
+
+
 def drop_always_selected_vertex(
     inst: Instance,
 ) -> Optional[tuple[Instance, VertexId, dict[VertexId, VertexId]]]:
@@ -393,12 +385,7 @@ def drop_always_selected_vertex(
     reduced instance, the dropped vertex, and the dense relabel map.
     Callers must leave more than r vertices behind.
     """
-    v = always_selected_vertex(inst)
-    if v is None:
-        return None
-    keep = [u for u in range(inst.n) if u != v]
-    reduced, relabel = induced(inst, keep)
-    return reduced, v, relabel
+    return _drop(inst, always_selected_vertex(inst))
 
 
 def cycle_free_vertex(inst: Instance) -> Optional[VertexId]:
@@ -429,12 +416,7 @@ def drop_cycle_free_vertex(
     vertex winning every pair closes no cycle).  Callers must leave more
     than r vertices behind.
     """
-    v = cycle_free_vertex(inst)
-    if v is None:
-        return None
-    keep = [u for u in range(inst.n) if u != v]
-    reduced, relabel = induced(inst, keep)
-    return reduced, v, relabel
+    return _drop(inst, cycle_free_vertex(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +457,22 @@ class DropRecord:
 
 
 TraceRecord = Union[EditRecord, DropRecord]
+
+
+def _edit_record(
+    oi: OrderedInstance, flower: SimpleSunflower, k_before: int, k_after: int, rule: str
+) -> EditRecord:
+    """The trace record of an edit of `flower`'s center made under `oi`."""
+    center = flower.center
+    return EditRecord(
+        center=center.members,
+        old_selected=center.selected,
+        new_selected=satisfied_selected(oi.instance.kind, center.members, oi.sigma),
+        k_before=k_before,
+        k_after=k_after,
+        petals=flower.petal_count,
+        rule=rule,
+    )
 
 
 def _fmt_ids(ids: tuple[VertexId, ...]) -> str:
@@ -577,7 +575,6 @@ def _debug_check(
 def kernelize_characterized(
     inst: Instance,
     k: int,
-    conflict_size: int,
     provider: RankingProvider,
     debug_oracle_checks: bool = False,
     oracle_cap: int = oracle.DEFAULT_CAP,
@@ -592,23 +589,27 @@ def kernelize_characterized(
     only k and the constraint data do.
     """
     kind = inst.kind
-    _validate_characterized(kind, conflict_size)
-    width = conflict_size - kind.r
+    width = default_conflict_size(kind) - kind.r
     sigma = provider(inst)
     oi = OrderedInstance(inst, sigma)
     faults = inconsistent_constraints(oi)
     p0 = p = len(faults)
     trace: list[TraceRecord] = []
 
+    def outcome(verdict: Verdict) -> KernelOutcome:
+        reduced = verdict is Verdict.REDUCED
+        return KernelOutcome(
+            verdict, kind, inst if reduced else None, k if reduced else None, p0, tuple(trace)
+        )
+
     while True:
         if 0 <= p <= k:
-            return KernelOutcome(Verdict.TRIVIAL_YES, kind, None, None, p0, tuple(trace))
+            return outcome(Verdict.TRIVIAL_YES)
         if k < 0:
-            return KernelOutcome(Verdict.TRIVIAL_NO, kind, None, None, p0, tuple(trace))
+            return outcome(Verdict.TRIVIAL_NO)
         if inst.n <= p * width + width * (k + 1) + kind.r:
-            return KernelOutcome(Verdict.REDUCED, kind, inst, k, p0, tuple(trace))
-        center = faults[0]
-        flower = find_simple_sunflower(oi, center, conflict_size, k)
+            return outcome(Verdict.REDUCED)
+        flower = find_simple_sunflower(oi, faults[0], k)
         if flower is None:
             raise KernelDriverError(
                 "no sunflower although the size test guarantees one; "
@@ -616,22 +617,49 @@ def kernelize_characterized(
             )
         new_inst, new_k = apply_sunflower_edit(oi, flower, k)
         _debug_check(debug_oracle_checks, inst, k, new_inst, new_k, oracle_cap)
-        trace.append(
-            EditRecord(
-                center=center.members,
-                old_selected=center.selected,
-                new_selected=satisfied_selected(kind, center.members, sigma),
-                k_before=k,
-                k_after=new_k,
-                petals=flower.petal_count,
-            )
-        )
+        trace.append(_edit_record(oi, flower, k, new_k, "sunflower-edit"))
         inst, k = new_inst, new_k
         oi = OrderedInstance(inst, sigma)
         faults = inconsistent_constraints(oi)
         p, old_p = len(faults), p
         if p != old_p - 1:
             raise KernelDriverError(f"an edit must clear exactly its own fault: p {old_p}->{p}")
+
+
+def _fast_certificate(
+    oi: OrderedInstance, faults: list[Constraint], k: int
+) -> tuple[SimpleSunflower, Callable[..., tuple[Instance, int]], str]:
+    """(certificate, apply function, rule name) of the next FAST edit.
+
+    The first violated constraint holding the ranking's last vertex is
+    tried first.  At r = 2, where interior pools can be thin, every
+    violated pair is tried in turn, then the petals widen to conflict
+    packings.
+    """
+    inst = oi.instance
+    last = oi.sigma.last()
+    centers = [c for c in faults if last in c.members]
+    if not centers:
+        raise KernelDriverError(
+            "after exhaustive drops the last vertex must sit in a violated constraint"
+        )
+    flower = find_fast_sunflower(oi, centers[0], k)
+    if flower is not None:
+        return flower, apply_sunflower_edit, "sunflower-edit"
+    if inst.r == 2:
+        ordered = centers + [c for c in faults if last not in c.members]
+        for center in ordered[1:]:
+            flower = find_fast_sunflower(oi, center, k)
+            if flower is not None:
+                return flower, apply_sunflower_edit, "sunflower-edit"
+        for center in ordered:
+            packing = _find_conflict_packing(oi, center, k)
+            if packing is not None:
+                return packing, _apply_packing_edit, "conflict-packing-edit"
+    raise KernelDriverError(
+        f"no certificate with more than k={k} petals although n={inst.n} "
+        f"exceeds p+k+r={len(faults) + k + inst.r}"
+    )
 
 
 def kernelize_fast(
@@ -669,6 +697,12 @@ def kernelize_fast(
     p0: Optional[int] = None
     trace: list[TraceRecord] = []
 
+    def outcome(verdict: Verdict) -> KernelOutcome:
+        reduced = verdict is Verdict.REDUCED
+        return KernelOutcome(
+            verdict, kind, inst if reduced else None, k if reduced else None, p0, tuple(trace)
+        )
+
     while True:
         sigma = inc_degree_ranking(inst)
         oi = OrderedInstance(inst, sigma)
@@ -678,13 +712,13 @@ def kernelize_fast(
             p0 = p
 
         if k < 0:
-            return KernelOutcome(Verdict.TRIVIAL_NO, kind, None, None, p0, tuple(trace))
+            return outcome(Verdict.TRIVIAL_NO)
         if p <= k:
-            return KernelOutcome(Verdict.TRIVIAL_YES, kind, None, None, p0, tuple(trace))
+            return outcome(Verdict.TRIVIAL_YES)
         if p > 5 * k:
-            return KernelOutcome(Verdict.TRIVIAL_NO, kind, None, None, p0, tuple(trace))
+            return outcome(Verdict.TRIVIAL_NO)
         if inst.n <= p + k + kind.r:
-            return KernelOutcome(Verdict.REDUCED, kind, inst, k, p0, tuple(trace))
+            return outcome(Verdict.REDUCED)
 
         # Drops preserve the optimum exactly; ids are relabelled densely
         # each time, and the ranking is recomputed at the top anyway.
@@ -709,52 +743,8 @@ def kernelize_fast(
         if dropped_any:
             continue
 
-        last = sigma.last()
-        centers = [c for c in faults if last in c.members]
-        if not centers:
-            raise KernelDriverError(
-                "after exhaustive drops the last vertex must sit in a violated constraint"
-            )
-        center = centers[0]
-        flower = find_fast_sunflower(oi, center, k)
-        groups: Optional[tuple[tuple[VertexId, ...], ...]] = None
-        if flower is None and kind.r == 2:
-            # Interior pools can be thin at r = 2; try every violated
-            # pair, then widen the petals to conflict packings.
-            ordered = centers + [c for c in faults if last not in c.members]
-            for cand in ordered[1:]:
-                flower = find_fast_sunflower(oi, cand, k)
-                if flower is not None:
-                    center = cand
-                    break
-            if flower is None:
-                for cand in ordered:
-                    groups = _find_conflict_packing(oi, cand, k)
-                    if groups is not None:
-                        center = cand
-                        break
-
-        if flower is not None:
-            new_inst, new_k = apply_sunflower_edit(oi, flower, k)
-            petals, rule = flower.petal_count, "sunflower-edit"
-        elif groups is not None:
-            new_inst, new_k = _apply_packing_edit(oi, center, groups, k)
-            petals, rule = len(groups), "conflict-packing-edit"
-        else:
-            raise KernelDriverError(
-                f"no certificate with more than k={k} petals although n={inst.n} "
-                f"exceeds p+k+r={p + k + kind.r}"
-            )
+        certificate, apply_edit, rule = _fast_certificate(oi, faults, k)
+        new_inst, new_k = apply_edit(oi, certificate, k)
         _debug_check(debug_oracle_checks, inst, k, new_inst, new_k, oracle_cap)
-        trace.append(
-            EditRecord(
-                center=center.members,
-                old_selected=center.selected,
-                new_selected=satisfied_selected(kind, center.members, sigma),
-                k_before=k,
-                k_after=new_k,
-                petals=petals,
-                rule=rule,
-            )
-        )
+        trace.append(_edit_record(oi, certificate, k, new_k, rule))
         inst, k = new_inst, new_k

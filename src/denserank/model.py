@@ -106,16 +106,6 @@ class Ranking:
     def last(self) -> VertexId:
         return self.order[-1]
 
-    def induced(self, keep: Iterable[VertexId]) -> "Ranking":
-        """Restriction to `keep`, relabelled by ascending-id order.
-
-        Vertex ids in the result are the ranks of the kept ids, the same
-        relabelling `induced()` applies to instances.
-        """
-        kept = sorted(set(keep))
-        relabel = {v: i for i, v in enumerate(kept)}
-        return Ranking(tuple(relabel[v] for v in self.order if v in relabel))
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -357,18 +347,22 @@ def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:
     return satisfied_selected(kind, c.members, ranking) == c.selected
 
 
+def _violated(oi: OrderedInstance) -> np.ndarray:
+    """Mask of the constraints the ranking violates, lexicographic by members."""
+    return ~batch_verdict(oi.instance)(np.array([oi.sigma.position], dtype=np.int64))[0]
+
+
 def inconsistent_constraints(oi: OrderedInstance) -> list[Constraint]:
     """Constraints the ranking violates, lexicographic by members."""
     inst = oi.instance
-    ok = batch_verdict(inst)(np.array([oi.sigma.position], dtype=np.int64))[0]
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(_violated(oi))
     members = map(tuple, subsets(inst.n, inst.r)[bad].tolist())
     rows = inst.selected[bad].tolist()
     return [constraint_from_row(inst.kind, m, row) for m, row in zip(members, rows)]
 
 
 def fault_count(oi: OrderedInstance) -> int:
-    return len(inconsistent_constraints(oi))
+    return int(_violated(oi).sum())
 
 
 def span(c: Constraint, ranking: Ranking) -> tuple[tuple[VertexId, ...], bool]:
@@ -416,18 +410,6 @@ def induced(
     lookup[kept] = np.arange(len(kept))
     rows = (lookup[subsets(inst.n, r)] >= 0).all(axis=1)
     return Instance._from_table(len(kept), inst.kind, lookup[inst.selected[rows]]), relabel
-
-
-def induced_ordered(
-    oi: OrderedInstance, subset: Iterable[VertexId]
-) -> tuple[OrderedInstance, dict[VertexId, VertexId]]:
-    """`induced` plus the matching restriction of the ranking."""
-    sub, relabel = induced(oi.instance, subset)
-    return OrderedInstance(sub, oi.sigma.induced(relabel.keys())), relabel
-
-
-def constraint_total(n: int, r: int) -> int:
-    return comb(n, r)
 
 
 def nth_combination(n: int, r: int, index: int) -> tuple[int, ...]:

@@ -21,7 +21,6 @@ from denserank.approx import (
 )
 from denserank.characterize import (
     betweenness_single_fault_conflict,
-    default_conflict_size,
     enumerate_single_fault_configs,
     fast_single_fault_conflict,
     first_block_witness,
@@ -78,10 +77,7 @@ def test_kernel_answer_preservation():
             if family is Family.FAST:
                 out = kernelize_fast(inst, k)
             else:
-                kind = ProblemKind(family, r)
-                out = kernelize_characterized(
-                    inst, k, default_conflict_size(kind), exact_provider()
-                )
+                out = kernelize_characterized(inst, k, exact_provider())
             verdicts[out.verdict] += 1
             total += 1
             if oracle.decide(*out.materialize()) != oracle.decide(inst, k):

@@ -115,6 +115,25 @@ class TestDegreeGap:
         report = degree_gap_slack(inst, Ranking.identity(7))
         assert sum(report.late_unselected) + sum(report.early_selected) == 2 * report.faults
 
+    def test_tallies_match_a_constraint_by_constraint_count(self, uniform):
+        rng = SplitMix64(11)
+        for seed in range(4):
+            for r in (2, 3, 4):
+                inst = uniform(Family.FAST, r, 7, seed)
+                rho = random_ranking(7, rng)
+                late_sel, late_unsel, early_sel = [0] * 7, [0] * 7, [0] * 7
+                for c in inst.constraints():
+                    last = max(c.members, key=rho.pos)
+                    if c.selected == last:
+                        late_sel[last] += 1
+                    else:
+                        late_unsel[last] += 1
+                        early_sel[c.selected] += 1
+                report = degree_gap_slack(inst, rho)
+                assert report.late_selected == tuple(late_sel)
+                assert report.late_unselected == tuple(late_unsel)
+                assert report.early_selected == tuple(early_sel)
+
     def test_broken_vertex_identity_fails_loudly(self, uniform, monkeypatch):
         monkeypatch.setattr(approx, "left_counts", lambda sigma, r: (1,) * sigma.n)
         with pytest.raises(SemanticsError, match="identity fails at vertex 0"):

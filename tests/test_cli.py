@@ -144,19 +144,15 @@ class TestKernelize:
         assert code == 0
         assert "verdict=" in out and "p0=" in out
 
-    def test_bad_conflict_size_exits_4(self, capsys, tmp_path):
-        path = gen_file(capsys, tmp_path, "b.rcsp", "--family", "betweenness", "--n", "5")
-        code, _, err = run(capsys, "kernelize", path, "--k", "1", "--conflict-size", "9")
-        assert code == 4
-
     def test_missing_budget_is_a_usage_error(self, capsys, tmp_path):
         path = self.drop_heavy_file(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["kernelize", path])
         assert exc.value.code == 2
 
-    # Sizes where both drop rules and sunflower edits fire; the expected
-    # stdout, kernel file and trace file are frozen byte for byte.
+    # Sizes where both drop rules, sunflower edits and (fast_r2_n16) a
+    # conflict-packing edit fire; the expected stdout, kernel file and
+    # trace file are frozen byte for byte.
     @pytest.mark.parametrize(
         "name,gen_argv,kernel_argv",
         [
@@ -165,6 +161,12 @@ class TestKernelize:
             (
                 "tfast_r3_n16",
                 ("tfast", "3", "16", "4", "2"),
+                ("--k", "2", "--provider", "localsearch"),
+            ),
+            ("fast_r2_n16", ("fast", "2", "16", "5", "2"), ("--k", "2")),
+            (
+                "betweenness_r3_n12",
+                ("betweenness", "3", "12", "3", "0"),
                 ("--k", "2", "--provider", "localsearch"),
             ),
         ],

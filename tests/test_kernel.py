@@ -10,7 +10,6 @@ from denserank.approx import DegreeProfile, inc_degree_ranking
 from denserank.characterize import violating_selected_values
 from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.errors import (
-    ConfigError,
     KernelDriverError,
     PreconditionError,
     RuleInapplicableError,
@@ -116,33 +115,27 @@ class TestFindSimpleSunflower:
     def test_single_fault_center_collects_all_chunks(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         oi = OrderedInstance(inst, Ranking.identity(8))
-        flower = find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 4, 1)
+        flower = find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
         assert flower is not None
         assert flower.extras == ((3,), (4,), (5,), (6,), (7,))
 
     def test_not_enough_petals_is_none(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         oi = OrderedInstance(inst, Ranking.identity(8))
-        assert find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 4, 5) is None
-
-    def test_wrong_conflict_size_is_a_config_error(self):
-        inst = broken_at(B3, 6, (0, 1, 2))
-        oi = OrderedInstance(inst, Ranking.identity(6))
-        with pytest.raises(ConfigError):
-            find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 5, 1)
+        assert find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 5) is None
 
     def test_satisfied_center_is_rejected(self):
         inst = consistent_instance(B3, 6)
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(PreconditionError):
-            find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 4, 1)
+            find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
 
     def test_other_faults_knock_out_their_chunk(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         bad = violating_selected_values(B3, (0, 1, 3), Ranking.identity(8))[0]
         inst = inst.replace({(0, 1, 3): Constraint((0, 1, 3), bad)})
         oi = OrderedInstance(inst, Ranking.identity(8))
-        flower = find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 4, 1)
+        flower = find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
         assert (3,) not in flower.extras
         assert flower.petal_count == 4
 
@@ -174,7 +167,7 @@ class TestApplySunflowerEdit:
     def setup_flower(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         oi = OrderedInstance(inst, Ranking.identity(8))
-        return inst, oi, find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 4, 1)
+        return inst, oi, find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
 
     def test_edit_agrees_with_ranking_and_spends_budget(self):
         inst, oi, flower = self.setup_flower()
@@ -302,8 +295,8 @@ class TestConflictPacking:
     def test_collects_single_vertex_groups_in_ranking_order(self):
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
-        groups = _find_conflict_packing(oi, inst.constraint((0, 1)), 1)
-        assert groups == ((2,), (3,))
+        packing = _find_conflict_packing(oi, inst.constraint((0, 1)), 1)
+        assert packing.extras == ((2,), (3,))
 
     def test_too_few_groups_is_none(self):
         inst = self.packed_instance()
@@ -324,8 +317,8 @@ class TestConflictPacking:
     def test_edit_preserves_the_answer(self):
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
-        groups = _find_conflict_packing(oi, inst.constraint((0, 1)), 1)
-        new_inst, new_k = _apply_packing_edit(oi, inst.constraint((0, 1)), groups, 1)
+        packing = _find_conflict_packing(oi, inst.constraint((0, 1)), 1)
+        new_inst, new_k = _apply_packing_edit(oi, packing, 1)
         assert new_k == 0
         assert new_inst.constraint((0, 1)).selected == 1
         assert oracle.decide(inst, 1) == oracle.decide(new_inst, 0)
@@ -334,13 +327,13 @@ class TestConflictPacking:
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(PreconditionError):
-            _apply_packing_edit(oi, inst.constraint((0, 1)), ((4,),), 0)
+            _apply_packing_edit(oi, SimpleSunflower(inst.constraint((0, 1)), ((4,),)), 0)
 
     def test_budget_at_least_groups_is_inapplicable(self):
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(RuleInapplicableError):
-            _apply_packing_edit(oi, inst.constraint((0, 1)), ((2,), (3,)), 2)
+            _apply_packing_edit(oi, SimpleSunflower(inst.constraint((0, 1)), ((2,), (3,))), 2)
 
 
 class TestTrivialInstances:
@@ -362,44 +355,37 @@ class TestTrivialInstances:
 
 class TestCharacterizedDriver:
     def test_consistent_input_is_trivially_yes(self):
-        out = kernelize_characterized(consistent_instance(B3, 7), 0, 4, exact_provider())
+        out = kernelize_characterized(consistent_instance(B3, 7), 0, exact_provider())
         assert out.verdict is Verdict.TRIVIAL_YES
         assert out.p0 == 0 and out.trace == ()
 
     def test_negative_budget_is_trivially_no(self):
-        out = kernelize_characterized(consistent_instance(T3, 5), -1, 4, exact_provider())
+        out = kernelize_characterized(consistent_instance(T3, 5), -1, exact_provider())
         assert out.verdict is Verdict.TRIVIAL_NO
 
     def test_edits_run_until_a_verdict(self, planted):
         inst = planted(Family.BETWEENNESS, 3, 8, 3, 2)
         opt = oracle.min_inconsistencies(inst).opt
-        out = kernelize_characterized(inst, 1, 4, exact_provider(), debug_oracle_checks=True)
+        out = kernelize_characterized(inst, 1, exact_provider(), debug_oracle_checks=True)
         assert out.p0 == opt
         assert oracle.decide(*out.materialize()) == oracle.decide(inst, 1)
-
-    def test_wrong_conflict_size_rejected_up_front(self):
-        with pytest.raises(ConfigError):
-            kernelize_characterized(consistent_instance(B3, 6), 1, 5, exact_provider())
 
     def test_edit_that_leaves_its_fault_fails_loudly(self, planted, monkeypatch):
         monkeypatch.setattr(kernel, "apply_sunflower_edit", lambda oi, flower, k: (oi.instance, k - 1))
         inst = planted(Family.BETWEENNESS, 3, 8, 3, 2)
         with pytest.raises(KernelDriverError, match="clear exactly its own fault"):
-            kernelize_characterized(inst, 1, 4, exact_provider())
+            kernelize_characterized(inst, 1, exact_provider())
 
     def test_fast_is_not_served(self):
         with pytest.raises(SemanticsError):
-            kernelize_characterized(consistent_instance(F2, 5), 1, 3, exact_provider())
+            kernelize_characterized(consistent_instance(F2, 5), 1, exact_provider())
 
     @pytest.mark.parametrize("family,r", [(Family.BETWEENNESS, 3), (Family.TRANSITIVE_FAST, 3)])
     def test_verdict_matches_the_oracle(self, planted, family, r):
-        kind = ProblemKind(family, r)
         for seed in range(6):
             for k in (0, 1, 2):
                 inst = planted(family, r, 7, seed, 2)
-                out = kernelize_characterized(
-                    inst, k, default_conflict_size(kind), exact_provider(), debug_oracle_checks=True
-                )
+                out = kernelize_characterized(inst, k, exact_provider(), debug_oracle_checks=True)
                 assert oracle.decide(*out.materialize()) == oracle.decide(inst, k), (seed, k)
 
 
