@@ -1,7 +1,7 @@
 """Dense ranking constraint systems.
 
 Library surface: the data model (`Instance`, `Constraint`, `Ranking`),
-an exhaustive oracle, single-fault conflict characterizations, the
+an exact oracle, single-fault conflict characterizations, the
 Inc-Degree approximation with slack checkers, sunflower kernelization,
 seeded generators, and a plain-text file format.
 """

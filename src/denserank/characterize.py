@@ -9,7 +9,7 @@ does it admit no consistent ranking at all.
 For BETWEENNESS and FAST on r+1 vertices the verdict is decided by
 closed-form rules (position of the faulty constraint within the order,
 plus the shape of its selected pair); the rules are kept as literal
-decision tables so each table row can be pinned against the exhaustive
+decision tables so each table row can be pinned against the exact
 oracle in the tests.
 """
 
@@ -298,7 +298,7 @@ def verify_simple_characterization(
     size: int,
     sample: Optional[int] = None,
     seed: int = 0,
-    oracle_cap: int = oracle.DEFAULT_CAP,
+    oracle_cap: Optional[int] = None,
 ) -> CharacterizationReport:
     """Ask the oracle, for single-fault configurations on `size`
     vertices, whether the whole vertex set is a conflict.

@@ -211,7 +211,7 @@ def cmd_bench(args) -> int:
                 outcome = _kernelize(args, inst, k)
                 reduced, k_out = outcome.materialize()
                 ratio = ""
-                if kind.family is Family.FAST and n <= args.oracle_cap:
+                if kind.family is Family.FAST and not oracle.refuses(kind, n, args.oracle_cap):
                     opt = oracle.min_inconsistencies(inst, cap=args.oracle_cap).opt
                     greedy = fault_count(
                         OrderedInstance(inst, approx_mod.inc_degree_ranking(inst))
@@ -266,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oracle-cap",
             type=int,
-            default=oracle.DEFAULT_CAP,
-            help="largest vertex count the exact oracle will enumerate",
+            default=None,
+            help="largest vertex count the exact oracle will accept (default: "
+            f"{oracle.DEFAULT_CAPS[oracle.SUBSET_DP]} for the subset DP at r <= 3, "
+            f"{oracle.DEFAULT_CAPS[oracle.ENUMERATION]} for enumeration at r >= 4)",
         )
 
     p = sub.add_parser("gen", help="write a seeded instance file")
@@ -279,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="exact optimum by exhaustive enumeration")
+    p = sub.add_parser(
+        "solve", help="exact optimum: subset DP at r <= 3, enumeration of all rankings above"
+    )
     p.add_argument("instance")
     add_cap(p)
     p.set_defaults(func=cmd_solve)

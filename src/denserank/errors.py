@@ -20,7 +20,7 @@ class EmptyInstanceError(DenseRankError):
 
 
 class EnumerationCapError(DenseRankError):
-    """Exact enumeration was requested above the configured vertex cap."""
+    """The exact oracle was asked about more vertices than its engine's cap."""
 
 
 class SemanticsError(DenseRankError):

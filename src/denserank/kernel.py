@@ -75,7 +75,7 @@ RankingProvider = Callable[[Instance], Ranking]
 # ranking providers
 
 
-def exact_provider(cap: int = oracle.DEFAULT_CAP) -> RankingProvider:
+def exact_provider(cap: Optional[int] = None) -> RankingProvider:
     """Provider returning an optimal ranking (oracle witness, q = 1)."""
 
     def provide(inst: Instance) -> Ranking:
@@ -558,11 +558,12 @@ def _debug_check(
     k_before: int,
     after: Instance,
     k_after: int,
-    cap: int,
+    cap: Optional[int],
 ) -> None:
     """Oracle cross-check of one rule application (debug flag only;
-    exponential in the vertex count, so small instances only)."""
-    if not enabled or before.n > cap or after.n > cap:
+    exponential in the vertex count, so skipped where the oracle would
+    refuse either side)."""
+    if not enabled or any(oracle.refuses(inst.kind, inst.n, cap) for inst in (before, after)):
         return
     lhs = oracle.decide(before, k_before, cap=cap)
     rhs = oracle.decide(after, k_after, cap=cap)
@@ -577,7 +578,7 @@ def kernelize_characterized(
     k: int,
     provider: RankingProvider,
     debug_oracle_checks: bool = False,
-    oracle_cap: int = oracle.DEFAULT_CAP,
+    oracle_cap: Optional[int] = None,
 ) -> KernelOutcome:
     """Sunflower-edit kernelization for bounded-conflict families.
 
@@ -666,7 +667,7 @@ def kernelize_fast(
     inst: Instance,
     k: int,
     debug_oracle_checks: bool = False,
-    oracle_cap: int = oracle.DEFAULT_CAP,
+    oracle_cap: Optional[int] = None,
 ) -> KernelOutcome:
     """FAST kernelization driven by the Inc-Degree ranking.
 

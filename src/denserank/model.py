@@ -18,7 +18,8 @@ Outside data is checked once, by `Instance(...)` or the file parser.
 Each family's verdict is written here once per form and nowhere else:
 `satisfied_selected` (scalar: the selected datum a ranking satisfies on
 a member tuple) and `batch_verdict` (numpy: ranking positions to a
-satisfied mask).  Everything that judges a ranking is built on these.
+satisfied mask; `member_verdict` runs the same rule on each constraint's
+own member positions).  Everything that judges a ranking is built on these.
 """
 
 from __future__ import annotations
@@ -300,17 +301,9 @@ def satisfied_selected(
     return tuple(sorted(members, key=key))
 
 
-def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the instance into a batch verdict.
-
-    The returned function maps an (m, n) matrix whose rows are ranking
-    positions (row[v] is the position of vertex v) to the (m, C) mask of
-    satisfied constraints, columns in lexicographic member order.
-    """
-    members = subsets(inst.n, inst.r)
-    columns = np.ascontiguousarray(inst.selected.T)
-    family = inst.kind.family
-
+def _verdict(family: Family, members: np.ndarray, columns: np.ndarray):
+    """The family's verdict over position rows: `members` (C, r) and the
+    selected columns `columns` (width, C) index into each row."""
     if family is Family.FAST:
         (sel,) = columns
 
@@ -340,6 +333,35 @@ def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
             return ok
 
     return verdict
+
+
+def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile the instance into a batch verdict.
+
+    The returned function maps an (m, n) matrix whose rows are ranking
+    positions (row[v] is the position of vertex v) to the (m, C) mask of
+    satisfied constraints, columns in lexicographic member order.
+    """
+    members = subsets(inst.n, inst.r)
+    return _verdict(inst.kind.family, members, np.ascontiguousarray(inst.selected.T))
+
+
+def member_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch verdict with every constraint under its own member order.
+
+    The returned function maps an (m, C, r) array of member positions
+    (entry [i, c, j] is the position of the j-th member of constraint c)
+    to the (m, C) satisfied mask.  Each member slot of each constraint is
+    its own column of a position row, so `batch_verdict`'s rule runs
+    unchanged.
+    """
+    members = subsets(inst.n, inst.r)
+    count, r = members.shape
+    slots = np.arange(count * r).reshape(count, r)
+    # the slot of each selected vertex within its member row
+    where = (inst.selected[:, :, None] == members[:, None, :]).argmax(axis=2)
+    verdict = _verdict(inst.kind.family, slots, np.ascontiguousarray((slots[:, :1] + where).T))
+    return lambda pos: verdict(pos.reshape(len(pos), count * r))
 
 
 def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:

@@ -11,7 +11,14 @@ import denserank
 from conftest import consistent_instance
 from denserank import fileformat, oracle
 from denserank.cli import main
-from denserank.model import Constraint, Family, ProblemKind
+from denserank.model import (
+    Constraint,
+    Family,
+    OrderedInstance,
+    ProblemKind,
+    Ranking,
+    fault_count,
+)
 
 F2 = ProblemKind(Family.FAST, 2)
 GOLDEN_KERNEL_DIR = Path(__file__).parent / "golden" / "kernel"
@@ -73,12 +80,33 @@ class TestSolve:
         assert "error:" in err
 
     def test_cap_refusal_exits_5(self, capsys, tmp_path):
+        # one refusal per engine's default cap (enumeration at r >= 4, the
+        # subset DP at r <= 3) and one by an explicit cap below the default
+        cases = [
+            ("betweenness", "4", "11", (), 10),
+            ("fast", "2", "19", (), 18),
+            ("fast", "3", "19", (), 18),
+            ("fast", "2", "9", ("--oracle-cap", "8"), 8),
+        ]
+        for family, r, n, cap_argv, cap in cases:
+            path = gen_file(
+                capsys, tmp_path, f"{family}{r}_{n}.rcsp", "--family", family, "--r", r, "--n", n
+            )
+            code, out, err = run(capsys, "solve", path, *cap_argv)
+            assert (code, out) == (5, ""), (family, r, n, cap_argv)
+            assert err.startswith("error:") and f"exceeds the cap of {cap};" in err
+
+    def test_subset_dp_solves_up_to_its_default_cap(self, capsys, tmp_path):
         path = gen_file(
-            capsys, tmp_path, "big.rcsp", "--family", "fast", "--r", "2", "--n", "11"
+            capsys, tmp_path, "f.rcsp",
+            "--family", "fast", "--r", "3", "--n", "18", "--edits", "3", "--seed", "1",
         )
-        code, _, err = run(capsys, "solve", path)
-        assert code == 5
-        assert "error:" in err
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.splitlines())
+        witness = Ranking(tuple(int(v) for v in lines["witness"].split()))
+        inst = fileformat.load(path)
+        assert int(lines["opt"]) == fault_count(OrderedInstance(inst, witness)) <= 3
 
 
 class TestApprox:
@@ -143,6 +171,15 @@ class TestKernelize:
         code, out, _ = run(capsys, "kernelize", path, "--k", "1", "--provider", "exact")
         assert code == 0
         assert "verdict=" in out and "p0=" in out
+
+    def test_default_exact_provider_runs_above_the_enumeration_cap(self, capsys, tmp_path):
+        path = gen_file(
+            capsys, tmp_path, "b.rcsp",
+            "--family", "betweenness", "--n", "14", "--edits", "3", "--seed", "1",
+        )
+        code, out, err = run(capsys, "kernelize", path, "--k", "2")
+        assert (code, err) == (0, "")
+        assert "verdict=" in out and "kernel: n=" in out
 
     def test_missing_budget_is_a_usage_error(self, capsys, tmp_path):
         path = self.drop_heavy_file(tmp_path)
@@ -228,6 +265,17 @@ class TestBench:
         assert len(rows) == 4
         assert {row["verdict"] for row in rows} <= {"reduced", "trivial-yes", "trivial-no"}
         assert all(row["approx_ratio"] for row in rows if row["verdict"] != "trivial-yes")
+
+    @pytest.mark.parametrize("cap_argv,filled", [((), True), (("--oracle-cap", "11"), False)])
+    def test_ratio_column_follows_the_oracle_cap(self, capsys, cap_argv, filled):
+        code, out, _ = run(
+            capsys, "bench", "--family", "fast", "--r", "2",
+            "--n-list", "12", "--k-list", "1", "--seeds", "2", "--mode", "uniform", *cap_argv,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 2
+        assert all(bool(row["approx_ratio"]) == filled for row in rows)
 
     def test_stdout_csv_header(self, capsys):
         code, out, _ = run(

@@ -348,7 +348,7 @@ class TestTrivialInstances:
 
     @pytest.mark.parametrize("yes", [True, False])
     def test_wrong_oracle_answer_fails_loudly(self, monkeypatch, yes):
-        monkeypatch.setattr(oracle, "decide", lambda inst, k, cap=oracle.DEFAULT_CAP: not yes)
+        monkeypatch.setattr(oracle, "decide", lambda inst, k, cap=None: not yes)
         with pytest.raises(KernelDriverError, match="opposite answer to yes"):
             trivial_instance(F3, yes)
 
@@ -503,6 +503,28 @@ class TestFastDriver:
         rules = [r.rule for r in out.trace if isinstance(r, DropRecord)]
         assert "drop-cycle-free" in rules
         assert oracle.decide(*out.materialize()) == oracle.decide(inst, 1)
+
+    @pytest.mark.parametrize("cap,checked", [(None, True), (11, False)])
+    def test_debug_checks_run_wherever_the_oracle_accepts(self, monkeypatch, cap, checked):
+        # 12 vertices: above the enumeration cap, within the subset DP's
+        inst = consistent_instance(F2, 12).replace(
+            {
+                (0, 1): Constraint((0, 1), 0),
+                (1, 2): Constraint((1, 2), 1),
+                (1, 3): Constraint((1, 3), 1),
+            }
+        )
+        seen = []
+        decide = oracle.decide
+
+        def spy(inst, k, cap=None):
+            seen.append(inst.n)
+            return decide(inst, k, cap)
+
+        monkeypatch.setattr(oracle, "decide", spy)
+        out = kernelize_fast(inst, 1, debug_oracle_checks=True, oracle_cap=cap)
+        assert out.drop_count() > 0
+        assert (12 in seen) == checked
 
     def test_materialized_trivials_decide_like_their_verdict(self, planted):
         yes = kernelize_fast(consistent_instance(F2, 5), 1)

@@ -23,9 +23,11 @@ from denserank.model import (
     fault_count,
     inconsistent_constraints,
     induced,
+    member_verdict,
     nth_combination,
     span,
     span_minus,
+    subsets,
     validate_constraint,
 )
 
@@ -188,6 +190,8 @@ def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
     row = oracle._positions(np.array([sigma.order], dtype=np.int8))
     batch_faults = inst.constraint_count() - int(batch_verdict(inst)(row).sum())
     assert fault_count(oi) == batch_faults == len(rejected)
+    by_member = member_verdict(inst)(row[:, subsets(n, kind.r)])
+    assert np.array_equal(by_member, batch_verdict(inst)(row))
 
     for c in inst.constraints():
         assert evaluate(kind, edit_wrt(kind, c, sigma), sigma)

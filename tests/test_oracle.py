@@ -1,11 +1,14 @@
 import itertools
+from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from conftest import consistent_instance
 from denserank import oracle
-from denserank.errors import EnumerationCapError
+from denserank.errors import EnumerationCapError, SemanticsError
+from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.model import (
     Constraint,
     Family,
@@ -13,12 +16,14 @@ from denserank.model import (
     ProblemKind,
     all_selected_values,
     fault_count,
+    induced,
 )
 
 F2 = ProblemKind(Family.FAST, 2)
 F3 = ProblemKind(Family.FAST, 3)
 B3 = ProblemKind(Family.BETWEENNESS, 3)
 T3 = ProblemKind(Family.TRANSITIVE_FAST, 3)
+B4 = ProblemKind(Family.BETWEENNESS, 4)
 
 # Golden optima for seeded uniform instances, frozen after both
 # enumerators (the vectorized oracle and the plain reference loop)
@@ -82,6 +87,26 @@ class TestMinInconsistencies:
             oracle.min_inconsistencies(inst, cap=5)
         oracle.min_inconsistencies(inst, cap=6)
 
+    def test_each_engine_has_its_own_default_cap(self):
+        for kind, cap in ((F2, 18), (F3, 18), (B3, 18), (T3, 18), (B4, 10)):
+            assert not oracle.refuses(kind, cap)
+            assert oracle.refuses(kind, cap + 1)
+            assert oracle.refuses(kind, 9, cap=8) and not oracle.refuses(kind, 8, cap=8)
+
+    def test_reports_engine_and_search_size(self, uniform):
+        res = oracle.min_inconsistencies(uniform(Family.FAST, 3, 6, 2))
+        assert (res.engine, res.searched) == ("subset-dp", 2**6)
+        res = oracle.min_inconsistencies(uniform(Family.BETWEENNESS, 4, 6, 2))
+        assert (res.engine, res.searched) == ("enumeration", factorial(6))
+
+    def test_enumeration_stops_after_the_first_consistent_block(self):
+        res = oracle.min_by_enumeration(consistent_instance(B4, 9))
+        assert (res.opt, res.searched) == (0, 40320)
+
+    def test_subset_dp_rejects_arity_four(self, uniform):
+        with pytest.raises(SemanticsError):
+            oracle.min_by_subset_dp(uniform(Family.BETWEENNESS, 4, 5, 0))
+
 
 class TestDecide:
     def test_yes_no_edges(self, uniform):
@@ -143,3 +168,41 @@ class TestIsConflict:
         inst = inst.replace({(0, 1, 2): Constraint((0, 1, 2), 0)})
         assert not oracle.is_conflict(inst, (0, 1, 2, 3))
         assert not reference.conflict(inst, (0, 1, 2, 3))
+
+
+# Each kind gets a planted and a uniform instance at n = 9 on top of the
+# drawn ones, which lean small.
+@pytest.mark.parametrize("kind", [F2, F3, B3, T3], ids=["fast2", "fast3", "betweenness3", "tfast3"])
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    n=st.integers(3, 9),
+    planted=st.booleans(),
+    edits=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+    subsets=st.lists(st.sets(st.integers(0, 8), max_size=7), min_size=1, max_size=3),
+)
+@example(n=9, planted=False, edits=1, seed=1, subsets=[{0, 2, 3, 5, 8}])
+@example(n=9, planted=True, edits=4, seed=2, subsets=[{1, 2, 4, 6, 7, 8}])
+def test_subset_dp_matches_enumeration(kind, n, planted, edits, seed, subsets):
+    """Same optimum, same lexicographically first witness, same
+    decisions and conflict verdicts as scoring every ranking."""
+    if planted:
+        spec = GeneratorSpec(kind, n, GenerationMode.PLANTED, seed, min(edits, comb(n, kind.r)))
+    else:
+        spec = GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed)
+    inst = generate(spec)
+
+    dp = oracle.min_by_subset_dp(inst)
+    enum = oracle.min_by_enumeration(inst)
+    assert (dp.engine, enum.engine) == ("subset-dp", "enumeration")
+    assert (dp.opt, dp.witness) == (enum.opt, enum.witness)
+    assert oracle.min_inconsistencies(inst) == dp
+    assert not oracle.decide(inst, dp.opt - 1)
+    assert oracle.decide(inst, dp.opt)
+
+    for subset in subsets:
+        subset = {v for v in subset if v < n}
+        expected = len(subset) >= kind.r and (
+            oracle.min_by_enumeration(induced(inst, subset)[0]).opt > 0
+        )
+        assert oracle.is_conflict(inst, subset) == expected
