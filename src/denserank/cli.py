@@ -4,9 +4,9 @@ Subcommands: gen, solve, approx, kernelize, verify-lemmas, bench.
 Results go to stdout as plain text (or CSV for bench and the slack
 sweeps); there is no other output channel.
 
-Exit codes: 0 success, 2 usage errors (argparse), 3 instance-file parse
-errors, 4 violated preconditions or semantic misuse, 5 oracle cap
-refusals, 1 failed verification (verify-lemmas only).
+Exit codes: 0 success, 2 usage errors (argparse), 3 instance files that
+cannot be read or parsed, 4 violated preconditions or semantic misuse,
+5 oracle cap refusals, 1 failed verification (verify-lemmas only).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import approx as approx_mod
 from . import characterize, fileformat, kernel, oracle
-from .errors import DenseRankError, EnumerationCapError, ParseError
+from .errors import DenseRankError, EnumerationCapError, InstanceReadError, ParseError
 # the package re-exports the generate() function under the submodule's
 # name, so pull what the CLI needs out of the submodule explicitly
 from .generate import GenerationMode, GeneratorSpec, generate as build_instance
@@ -341,7 +341,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (InstanceReadError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationCapError as exc:

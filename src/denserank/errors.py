@@ -47,6 +47,10 @@ class KernelDriverError(DenseRankError):
     """Kernelization reached a state its supporting guarantees exclude."""
 
 
+class InstanceReadError(DenseRankError):
+    """Instance file could not be read at all (missing, unreadable)."""
+
+
 class ParseError(DenseRankError):
     """Instance file rejected; `line` is the 1-based offending line number."""
 

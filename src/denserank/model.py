@@ -13,7 +13,10 @@ constraint families are supported:
 An instance stores its selected data as one read-only int64 table with
 one row per r-subset in lexicographic order, the members of row i being
 row i of `subsets(n, r)`, so all downstream behaviour is deterministic.
-Outside data is checked once, by `Instance(...)` or the file parser.
+Outside data is checked once, by `Instance(...)` or the file parser,
+with the selected-data rule written here as a scalar
+(`validate_constraint`) and a batch (`batch_valid`), next to the
+lexicographic subset rank (`Instance._row`, batch `Instance._ranks`).
 
 Each family's verdict is written here once per form and nowhere else:
 `satisfied_selected` (scalar: the selected datum a ranking satisfies on
@@ -147,6 +150,22 @@ def validate_constraint(kind: ProblemKind, c: Constraint) -> None:
             )
 
 
+def batch_valid(kind: ProblemKind, members: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Batch form of `validate_constraint` over table columns: `members`
+    (r, C) and `selected` (width, C) hold one field per row, and the
+    result is the (C,) mask of the columns that make valid constraints."""
+    ok = (members[1:] > members[:-1]).all(axis=0)
+    # every selected id is a member; tfast's r of them must also be distinct
+    for ids in selected:
+        ok &= functools.reduce(np.logical_or, [ids == m for m in members])
+    if kind.family is Family.BETWEENNESS:
+        ok &= selected[0] < selected[1]
+    elif kind.family is Family.TRANSITIVE_FAST:
+        for i, j in itertools.combinations(range(len(selected)), 2):
+            ok &= selected[i] != selected[j]
+    return ok
+
+
 def all_selected_values(kind: ProblemKind, members: tuple[VertexId, ...]) -> list[SelectedData]:
     """Every selected datum a constraint on `members` could carry, in a
     fixed canonical order (ascending / lexicographic)."""
@@ -239,6 +258,28 @@ class Instance:
         if not valid or any(key[i] == key[i + 1] for i in range(r - 1)):
             raise DensityError(f"no constraint for subset {key}")
         return key, comb(n, r) - 1 - sum(comb(n - 1 - v, r - i) for i, v in enumerate(key))
+
+    @staticmethod
+    def _ranks(n: int, r: int, members: np.ndarray) -> np.ndarray:
+        """Batch form of `_row`'s rank: the (C,) lexicographic ranks of the
+        columns of `members`, (r, C) with strictly increasing ids in 0..n-1
+        down each column.  int64 when C(n, r) fits in it, else Python ints."""
+        total = comb(n, r)
+        dtype = np.int64 if total <= np.iinfo(np.int64).max else object
+        # the terms comb(n - 1 - v, r - i) are tabled over the ids 0..n-1,
+        # or over the ids that occur when there are fewer cells than ids.
+        # Slot i of a valid subset holds v >= i; below that the term is
+        # never used and could outgrow C(n, r), so it is tabled as 0.
+        if n <= members.size:
+            ids, slots = range(n), members
+        else:
+            ids, slots = np.unique(members, return_inverse=True)
+            ids, slots = ids.tolist(), slots.reshape(members.shape)
+        ranks = np.full(members.shape[1], total - 1, dtype=dtype)
+        for i in range(r):
+            terms = [comb(n - 1 - v, r - i) if v >= i else 0 for v in ids]
+            ranks -= np.array(terms, dtype=dtype)[slots[i]]
+        return ranks
 
     def constraint(self, members: Iterable[VertexId]) -> Constraint:
         key, row = self._row(members)

@@ -13,6 +13,18 @@ from denserank.model import (
 )
 
 
+# Every kind the file format and the batch forms are checked on.
+FORMAT_KINDS = [
+    ProblemKind(family, r)
+    for family, arities in (
+        (Family.FAST, (2, 3, 4)),
+        (Family.BETWEENNESS, (3, 4)),
+        (Family.TRANSITIVE_FAST, (3, 4)),
+    )
+    for r in arities
+]
+
+
 def make_kind(family, r):
     return ProblemKind(family, r)
 

@@ -1,12 +1,36 @@
-"""Brute-force reference solver used to anchor the vectorized oracle.
+"""Brute-force references used to anchor the vectorized code.
 
-Everything here is deliberately independent of the package's own
-evaluation code: constraint semantics are re-derived from scratch on
-plain tuples and dicts, and the search is a bare loop over
-itertools.permutations.  Slow on purpose; keep n at 7 or below.
+The solver is deliberately independent of the package's own evaluation
+code: constraint semantics are re-derived from scratch on plain tuples
+and dicts, and the search is a bare loop over itertools.permutations.
+Slow on purpose; keep n at 7 or below.
+
+`parse` is the line-by-line instance file reader the package used before
+it checked records as one table, kept verbatim as the reference for the
+differential parse test.  It shares only the scalar validation rule and
+the error types with the package.
 """
 
 import itertools
+from math import comb
+
+from denserank.errors import (
+    DuplicateRecordError,
+    HeaderError,
+    InvalidConstraintError,
+    RecordCountError,
+    RecordSyntaxError,
+    SelectedValueError,
+    UnknownFamilyError,
+)
+from denserank.model import (
+    Family,
+    Instance,
+    ProblemKind,
+    constraint_from_row,
+    selected_width,
+    validate_constraint,
+)
 
 
 def _satisfied(family, members, selected, pos):
@@ -61,3 +85,61 @@ def conflict(inst, subset):
         if all(_satisfied(fam, m, s, pos) for m, s in rows):
             return False
     return True
+
+
+_TAGS = {family.value: family for family in Family}
+
+
+def parse(text):
+    lines = text.splitlines()
+    if not lines:
+        raise HeaderError("empty file", 1)
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "rcsp" or head[1] != "1":
+        raise HeaderError(f"expected 'rcsp 1 <family> <n> <r>', got {lines[0]!r}", 1)
+    if head[2] not in _TAGS:
+        raise UnknownFamilyError(f"unknown family tag {head[2]!r}", 1)
+    try:
+        n, r = int(head[3]), int(head[4])
+    except ValueError:
+        raise HeaderError(f"n and r must be integers, got {head[3]!r} {head[4]!r}", 1) from None
+    if r < 2 or n < r:
+        raise HeaderError(f"need n >= r >= 2, got n={n} r={r}", 1)
+    try:
+        kind = ProblemKind(_TAGS[head[2]], r)
+    except Exception:
+        raise HeaderError(f"family {head[2]} does not admit arity {r}", 1) from None
+
+    width = r + selected_width(kind)
+    records = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        tokens = raw.split()
+        if len(tokens) != width:
+            raise RecordSyntaxError(f"expected {width} integers, got {len(tokens)}", lineno)
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError:
+            raise RecordSyntaxError(f"non-integer token in {raw!r}", lineno) from None
+        members = tuple(values[:r])
+        if any(not 0 <= v < n for v in members):
+            raise RecordSyntaxError(f"member outside 0..{n - 1} in {members}", lineno)
+        if any(members[i] >= members[i + 1] for i in range(r - 1)):
+            raise RecordSyntaxError(f"members not strictly increasing: {members}", lineno)
+        if members in records:
+            raise DuplicateRecordError(f"second record for subset {members}", lineno)
+        try:
+            validate_constraint(kind, constraint_from_row(kind, members, values[r:]))
+        except InvalidConstraintError as err:
+            raise SelectedValueError(str(err), lineno) from None
+        records[members] = values[r:]
+
+    rows = []
+    for subset in itertools.combinations(range(n), r):
+        try:
+            rows.append(records[subset])
+        except KeyError:
+            raise RecordCountError(
+                f"{len(records)} records, expected {comb(n, r)}; first missing subset {subset}",
+                len(lines) + 1,
+            ) from None
+    return Instance._from_table(n, kind, rows)

@@ -11,6 +11,14 @@ import denserank
 from conftest import consistent_instance
 from denserank import fileformat, oracle
 from denserank.cli import main
+from denserank.errors import (
+    DuplicateRecordError,
+    HeaderError,
+    RecordCountError,
+    RecordSyntaxError,
+    SelectedValueError,
+    UnknownFamilyError,
+)
 from denserank.model import (
     Constraint,
     Family,
@@ -78,6 +86,32 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "content,error,line,byte",
+        [
+            (b"rcsp 1 fast 3 2\xff\n0 1 1\n0 2 2\n1 2 2\n", HeaderError, 1, "0xff"),
+            (b"rcsp 1 fast 3 2\r\n0 1 1\r\n0 2 \xc3\xa9\n1 2 2\n", RecordSyntaxError, 3, "0xc3"),
+        ],
+        ids=["header", "record"],
+    )
+    def test_non_ascii_byte_exits_3_at_its_line(self, capsys, tmp_path, content, error, line, byte):
+        bad = tmp_path / "bad.rcsp"
+        bad.write_bytes(content)
+        with pytest.raises(error) as raised:
+            fileformat.load(str(bad))
+        assert raised.value.line == line
+        code, out, err = run(capsys, "solve", str(bad))
+        assert (code, out, err) == (3, "", f"error: line {line}: non-ASCII byte {byte}\n")
+
+    @pytest.mark.parametrize(
+        "name,reason", [("absent.rcsp", "No such file or directory"), (".", "Is a directory")]
+    )
+    def test_unreadable_path_exits_3(self, capsys, tmp_path, name, reason):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "solve", path)
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot read {path}: {reason}\n"
 
     def test_cap_refusal_exits_5(self, capsys, tmp_path):
         # one refusal per engine's default cap (enumeration at r >= 4, the
@@ -322,6 +356,33 @@ def test_module_entry_smoke(tmp_path):
     result = _run_from_elsewhere(["-m", "denserank", *GEN_ARGV], tmp_path)
     assert result.returncode == 0, result.stderr
     assert fileformat.parse(result.stdout).n == 5
+
+
+# one bad file per ParseError subclass: text, error, line
+BAD_FILES = [
+    ("rcsp 2 fast 3 2\n", HeaderError, 1),
+    ("rcsp 1 linear 3 2\n", UnknownFamilyError, 1),
+    ("rcsp 1 fast 3 2\n0 1\n", RecordSyntaxError, 2),
+    ("rcsp 1 fast 3 2\n0 1 1\n0 1 0\n", DuplicateRecordError, 3),
+    ("rcsp 1 fast 3 2\n0 1 2\n", SelectedValueError, 2),
+    ("rcsp 1 fast 3 2\n0 1 1\n", RecordCountError, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "text,error,line", BAD_FILES, ids=[error.__name__ for _, error, _ in BAD_FILES]
+)
+def test_file_checks_hold_under_optimize(capsys, tmp_path, text, error, line):
+    """`python -O` strips asserts; every instance-file check must still reject."""
+    bad = tmp_path / "bad.rcsp"
+    bad.write_text(text)
+    with pytest.raises(error) as raised:
+        fileformat.load(str(bad))
+    assert raised.value.line == line
+    plain = run(capsys, "solve", str(bad))
+    assert plain[0] == 3 and plain[2].startswith(f"error: line {line}: ")
+    result = _run_from_elsewhere(["-O", "-m", "denserank", "solve", str(bad)], tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == plain
 
 
 @pytest.mark.skipif(

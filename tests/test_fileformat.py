@@ -1,10 +1,14 @@
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import consistent_instance
+import reference
+from conftest import FORMAT_KINDS, consistent_instance
+from denserank import fileformat
 from denserank.errors import (
     DuplicateRecordError,
     HeaderError,
+    ParseError,
     RecordCountError,
     RecordSyntaxError,
     SelectedValueError,
@@ -111,17 +115,6 @@ class TestParseErrors:
         assert err.value.line == 4
 
 
-FORMAT_KINDS = [
-    ProblemKind(family, r)
-    for family, arities in (
-        (Family.FAST, (2, 3, 4)),
-        (Family.BETWEENNESS, (3, 4)),
-        (Family.TRANSITIVE_FAST, (3, 4)),
-    )
-    for r in arities
-]
-
-
 def drawn_instance(data, min_extra=0):
     kind = data.draw(st.sampled_from(FORMAT_KINDS), label="kind")
     n = data.draw(st.integers(kind.r + min_extra, 8), label="n")
@@ -186,3 +179,118 @@ def test_each_single_record_change_is_rejected_at_its_line(mutation, data):
         parse("\n".join(lines) + "\n")
     assert type(err.value) is expected
     assert err.value.line == line
+
+
+# Kinds and sizes whose files span three or more tokenizer blocks.
+LARGE = [
+    (ProblemKind(Family.FAST, 2), 100),
+    (ProblemKind(Family.FAST, 3), 26),
+    (B3, 26),
+    (ProblemKind(Family.BETWEENNESS, 4), 16),
+    (T3, 26),
+]
+
+
+def _line(data, lines, label, end=0):
+    """A line index from 1 to len(lines) - 1 + end.  The drawn word is
+    scrambled first: hypothesis favours small draws, which would put
+    nearly every change in the first tokenizer block."""
+    word = data.draw(st.integers(0, 2**64 - 1), label=label)
+    return 1 + word * 0x9E3779B97F4A7C15 % 2**64 % (len(lines) - 1 + end)
+
+
+def _tokens(data, lines, label="line"):
+    """A record line's index and its tokens, or None if the file has none."""
+    if len(lines) < 2:
+        return None
+    i = _line(data, lines, label)
+    return i, lines[i].split()
+
+
+DIFF_MUTATIONS = (
+    "token-count", "non-integer", "20-digit", "plus", "underscore",
+    "tab", "double-space", "trailing-space", "blank-line",
+    "member-range", "member-order", "duplicate", "selected", "dropped", "moved",
+)
+
+
+def _mutate(data, lines, kind, n):
+    """Apply one drawn change to `lines` in place."""
+    r = kind.r
+    mutation = data.draw(st.sampled_from(DIFF_MUTATIONS), label="mutation")
+    if mutation == "blank-line":
+        lines.insert(_line(data, lines, "at", end=1), "")
+        return
+    if mutation == "moved" and len(lines) > 2:
+        line = lines.pop(_line(data, lines, "from"))
+        lines.insert(_line(data, lines, "to", end=1), line)
+        return
+    if mutation == "dropped" and len(lines) > 1:
+        del lines[_line(data, lines, "dropped")]
+        return
+    drawn = _tokens(data, lines)
+    if drawn is None or not drawn[1]:
+        return
+    i, tokens = drawn
+    slot = data.draw(st.integers(0, len(tokens) - 1), label="slot")
+    if mutation == "token-count":
+        tokens = tokens[:-1] if data.draw(st.booleans(), label="shorter") else tokens + ["0"]
+    elif mutation == "non-integer":
+        tokens[slot] = data.draw(st.sampled_from(["x", "1.0", "0x1", "1e3", "--1"]))
+    elif mutation == "20-digit":
+        tokens[slot] = data.draw(st.sampled_from(["12345678901234567890", "-99999999999999999999"]))
+    elif mutation == "plus":
+        tokens[slot] = "+" + tokens[slot]
+    elif mutation == "underscore":
+        tokens[slot] = "0_" + tokens[slot]
+    elif mutation == "tab":
+        lines[i] = lines[i].replace(" ", "\t", 1)
+        return
+    elif mutation == "double-space":
+        lines[i] = lines[i].replace(" ", "  ", 1)
+        return
+    elif mutation == "trailing-space":
+        lines[i] += " "
+        return
+    elif mutation == "member-range":
+        tokens[data.draw(st.integers(0, r - 1), label="member")] = str(
+            data.draw(st.sampled_from([n, -1]), label="outside")
+        )
+    elif mutation == "member-order":
+        tokens[:r] = tokens[:r][::-1]
+    elif mutation == "duplicate":
+        tokens = _tokens(data, lines, "copied")[1]
+    elif mutation == "selected":
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError:
+            return
+        tokens = tokens[:r] + [str(v) for v in _bad_selected(kind, n, values[:r], values[r:])]
+    lines[i] = " ".join(tokens)
+
+
+def _outcome(read, text):
+    """What `read` makes of `text`: the instance's table bytes, or the error."""
+    try:
+        inst = read(text)
+    except ParseError as err:
+        return type(err), err.line, str(err)
+    table = inst.selected
+    return inst.n, inst.kind, table.dtype, table.shape, table.tobytes(), table.flags.writeable
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_parse_agrees_with_the_line_by_line_reader(data):
+    if data.draw(st.booleans(), label="large"):
+        kind, n = data.draw(st.sampled_from(LARGE), label="kind and n")
+        inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, 0))
+        assert len(serialize(inst)) > 2 * fileformat.BLOCK_CHARS
+    else:
+        inst = drawn_instance(data)
+    lines = serialize(inst).splitlines()
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        _mutate(data, lines, inst.kind, inst.n)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    text = newline.join(lines) + newline * data.draw(st.integers(0, 1), label="final newline")
+    assert _outcome(parse, text) == _outcome(reference.parse, text)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import consistent_instance
+from conftest import FORMAT_KINDS, consistent_instance
 from denserank import oracle
 from denserank.errors import DensityError, EmptyInstanceError, InvalidConstraintError
 from denserank.generate import GenerationMode, GeneratorSpec, generate
@@ -17,7 +17,9 @@ from denserank.model import (
     ProblemKind,
     Ranking,
     all_selected_values,
+    batch_valid,
     batch_verdict,
+    constraint_from_row,
     edit_wrt,
     evaluate,
     fault_count,
@@ -25,6 +27,7 @@ from denserank.model import (
     induced,
     member_verdict,
     nth_combination,
+    selected_width,
     span,
     span_minus,
     subsets,
@@ -164,19 +167,8 @@ class TestEvaluate:
         assert evaluate(F3, c, a) == evaluate(F3, c, b) is True
 
 
-VERDICT_KINDS = [
-    ProblemKind(family, r)
-    for family, arities in (
-        (Family.FAST, (2, 3, 4)),
-        (Family.BETWEENNESS, (3, 4)),
-        (Family.TRANSITIVE_FAST, (3, 4)),
-    )
-    for r in arities
-]
-
-
 @settings(derandomize=True, deadline=None)
-@given(kind=st.sampled_from(VERDICT_KINDS), data=st.data())
+@given(kind=st.sampled_from(FORMAT_KINDS), data=st.data())
 def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
     n = data.draw(st.integers(kind.r, 8), label="n")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
@@ -195,6 +187,46 @@ def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
 
     for c in inst.constraints():
         assert evaluate(kind, edit_wrt(kind, c, sigma), sigma)
+
+
+@settings(derandomize=True, deadline=None)
+@given(kind=st.sampled_from(FORMAT_KINDS), data=st.data())
+def test_batch_record_checks_agree_with_their_scalar_forms(kind, data):
+    r, width = kind.r, selected_width(kind)
+    # small n tables every id, large n only the ids that occur; past the
+    # int64 range of C(n, r) the ranks are Python ints
+    n = data.draw(
+        st.one_of(st.integers(r, 9), st.integers(r, 10**6), st.just(2**64 + 5)), label="n"
+    )
+    ids = st.integers(0, n - 1)
+    subset = st.lists(ids, min_size=r, max_size=r, unique=True).map(sorted)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 12), label="rows")):
+        members = data.draw(
+            st.one_of(subset, st.lists(ids, min_size=r, max_size=r)), label="members"
+        )
+        if data.draw(st.booleans(), label="drawn from the members"):
+            selected = data.draw(st.sampled_from(all_selected_values(kind, tuple(members))))
+            selected = list(selected) if isinstance(selected, tuple) else [selected]
+        else:
+            selected = data.draw(st.lists(ids, min_size=width, max_size=width), label="selected")
+        rows.append(members + selected)
+    table = np.array(rows, dtype=np.int64 if n < 2**63 else object)
+
+    def scalar_valid(row):
+        try:
+            validate_constraint(kind, constraint_from_row(kind, tuple(row[:r]), row[r:]))
+        except InvalidConstraintError:
+            return False
+        return True
+
+    mask = batch_valid(kind, table[:, :r].T, table[:, r:].T)
+    assert mask.tolist() == [scalar_valid(row) for row in rows]
+
+    increasing = [row[:r] == sorted(set(row[:r])) for row in rows]
+    shell = Instance._from_table(n, kind, [])  # `_row` reads only n and r
+    expected = [shell._row(row[:r])[1] for row, ok in zip(rows, increasing) if ok]
+    assert Instance._ranks(n, r, table[increasing, :r].T).tolist() == expected
 
 
 class TestSpans:
@@ -286,6 +318,13 @@ class TestCombinatorics:
         subsets = list(itertools.combinations(range(n), r))
         assert [nth_combination(n, r, i) for i in range(len(subsets))] == subsets
 
+    @pytest.mark.parametrize("n,r", [(5, 2), (9, 4), (70, 69)])
+    def test_ranks_of_the_lexicographic_table_count_up(self, n, r):
+        # at (70, 69) the unused terms comb(69 - v, 69 - i), v < i, pass int64
+        ranks = Instance._ranks(n, r, subsets(n, r).T)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == list(range(math.comb(n, r)))
+
     def test_nth_combination_bounds(self):
         with pytest.raises(IndexError):
             nth_combination(5, 2, 10)
@@ -310,7 +349,7 @@ def _rebuilt_induced(inst, keep):
 
 
 @settings(derandomize=True, deadline=None)
-@given(kind=st.sampled_from(VERDICT_KINDS), data=st.data())
+@given(kind=st.sampled_from(FORMAT_KINDS), data=st.data())
 def test_table_operations_match_a_constraint_by_constraint_rebuild(kind, data):
     n = data.draw(st.integers(kind.r, 8), label="n")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
