@@ -30,6 +30,7 @@ rule fired (drops relabel ids densely).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -57,11 +58,12 @@ from .model import (
     Ranking,
     SelectedData,
     VertexId,
-    batch_verdict,
     edit_wrt,
     evaluate,
     inconsistent_constraints,
     induced,
+    member_orders,
+    order_violations,
     satisfied_selected,
     span,
     span_minus,
@@ -89,33 +91,72 @@ def incdegree_provider(inst: Instance) -> Ranking:
     return inc_degree_ranking(inst)
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_turns(r: int) -> np.ndarray:
+    """turn[s, o]: the index in `member_orders(r)` of order o with the
+    two slots of slot pair s (pairs in lexicographic order) exchanged."""
+    index = {o: i for i, o in enumerate(map(tuple, member_orders(r).tolist()))}
+    turns = [
+        [index[tuple(b if x == a else a if x == b else x for x in o)] for o in index]
+        for a, b in itertools.combinations(range(r), 2)
+    ]
+    turn = np.array(turns, dtype=np.int64)
+    turn.flags.writeable = False
+    return turn
+
+
 def local_search_provider(inst: Instance) -> Ranking:
     """Adjacent-swap hill climbing from the identity ranking.
 
-    First-improvement scans repeated until a full pass is swap-free.
-    No approximation factor is guaranteed; use it only where a heuristic
-    fault count is acceptable.
+    First-improvement scans repeated until a full pass is swap-free; a
+    swap is kept when it lowers the fault count.  No approximation
+    factor is guaranteed; use it only where a heuristic fault count is
+    acceptable.
+
+    Each trial swap costs O(C(n-2, r-2)), not O(C(n, r)): only the
+    constraints holding both swapped vertices can change.  Every
+    constraint keeps the index of its members' current order in
+    `model.member_orders(r)` (0 at the identity start), an adjacent swap
+    transposes two member slots, and the fault delta is summed from a
+    per-order table built once from `model.order_violations`.
     """
-    order = list(range(inst.n))
-    verdict = batch_verdict(inst)
-    total = inst.constraint_count()
+    n, r = inst.n, inst.r
+    turn = _slot_turns(r)
+    pairs, width = turn.shape  # slot pairs, member orders
+    violated = order_violations(inst).astype(np.int8)
+    # delta[c, s, o]: fault change of constraint c when slot pair s turns order o
+    delta = (violated[:, turn] - violated[:, None, :]).ravel()
 
-    def faults() -> int:
-        # argsort inverts the permutation: positions indexed by vertex
-        return total - int(verdict(np.argsort(order)[None, :]).sum())
+    # Every (constraint, slot pair) entry, grouped by the vertex pair in
+    # those slots: C(n-2, r-2) entries per vertex pair, one row per pair
+    # in lexicographic order, which is the order of np.triu_indices.
+    members = subsets(n, r)
+    first, second = np.triu_indices(r, 1)
+    keys = members[:, first] * n + members[:, second]
+    entries = np.argsort(keys.ravel(), kind="stable").reshape(comb(n, 2), -1)
+    held = entries // pairs
+    at = entries * width  # flat index of delta[c, s, 0]
+    turn_at = entries % pairs * width  # flat index of turn[s, 0]
+    turned = turn.ravel()
+    group = np.zeros((n, n), dtype=np.int64)
+    group[np.triu_indices(n, 1)] = np.arange(comb(n, 2))
+    group = (group + group.T).tolist()
 
-    best = faults()
+    state = np.zeros(len(members), dtype=np.int64)
+    best = int(violated[:, 0].sum())
+    order = list(range(n))
     improved = True
     while improved and best > 0:
         improved = False
-        for i in range(inst.n - 1):
-            order[i], order[i + 1] = order[i + 1], order[i]
-            b = faults()
-            if b < best:
-                best = b
-                improved = True
-            else:
+        for i in range(n - 1):
+            g = group[order[i]][order[i + 1]]
+            now = state[held[g]]
+            change = int(delta[at[g] + now].sum())
+            if change < 0:
+                state[held[g]] = turned[turn_at[g] + now]
                 order[i], order[i + 1] = order[i + 1], order[i]
+                best += change
+                improved = True
     return Ranking(tuple(order))
 
 
@@ -523,6 +564,10 @@ class KernelOutcome:
         return trivial_instance(self.kind, self.verdict is Verdict.TRIVIAL_YES)
 
 
+# (kind, yes) pairs whose canonical trivial instance the oracle confirmed
+_TRIVIAL_CONFIRMED: set[tuple[ProblemKind, bool]] = set()
+
+
 def trivial_instance(kind: ProblemKind, yes: bool) -> tuple[Instance, int]:
     """Canonical fixed-answer instances at budget 0.
 
@@ -530,7 +575,8 @@ def trivial_instance(kind: ProblemKind, yes: bool) -> tuple[Instance, int]:
     fault placed so the whole r+1 vertex set is a conflict; the fault
     skips one vertex of the identity order, which is a conflict shape
     for every family, including FAST at r = 2 (a cyclic triangle).
-    Both are re-checked against the oracle at construction.
+    The oracle confirms each (kind, yes) answer once per process; an
+    instance is rebuilt on every call, identically.
     """
     r = kind.r
     if yes:
@@ -541,10 +587,12 @@ def trivial_instance(kind: ProblemKind, yes: bool) -> tuple[Instance, int]:
         fault_members = tuple(range(r - 1)) + (r,)
         bad_value = violating_selected_values(kind, fault_members, Ranking.identity(r + 1))[0]
         inst = single_fault_config(kind, r + 1, fault_members, bad_value).instance
-    if oracle.decide(inst, 0) != yes:
-        raise KernelDriverError(
-            f"trivial {kind.family.value} r={r} instance has the opposite answer to yes={yes}"
-        )
+    if (kind, yes) not in _TRIVIAL_CONFIRMED:
+        if oracle.decide(inst, 0) != yes:
+            raise KernelDriverError(
+                f"trivial {kind.family.value} r={r} instance has the opposite answer to yes={yes}"
+            )
+        _TRIVIAL_CONFIRMED.add((kind, yes))
     return inst, 0
 
 

@@ -22,7 +22,8 @@ Each family's verdict is written here once per form and nowhere else:
 `satisfied_selected` (scalar: the selected datum a ranking satisfies on
 a member tuple) and `batch_verdict` (numpy: ranking positions to a
 satisfied mask; `member_verdict` runs the same rule on each constraint's
-own member positions).  Everything that judges a ranking is built on these.
+own member positions, and `order_violations` tabulates it over every
+member order).  Everything that judges a ranking is built on these.
 """
 
 from __future__ import annotations
@@ -403,6 +404,31 @@ def member_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
     where = (inst.selected[:, :, None] == members[:, None, :]).argmax(axis=2)
     verdict = _verdict(inst.kind.family, slots, np.ascontiguousarray((slots[:, :1] + where).T))
     return lambda pos: verdict(pos.reshape(len(pos), count * r))
+
+
+@functools.lru_cache(maxsize=None)
+def member_orders(r: int) -> np.ndarray:
+    """The r! orders of r member slots, lexicographic and read-only.
+
+    Row o lists the slots first-ranked first, so row 0 is the members'
+    own increasing order.
+    """
+    orders = np.array(list(itertools.permutations(range(r))), dtype=np.int64)
+    orders.flags.writeable = False
+    return orders
+
+
+def order_violations(inst: Instance) -> np.ndarray:
+    """The (C, r!) mask of every member order of every constraint.
+
+    Entry [c, o] is True when constraint c is violated by a ranking that
+    puts its members in order o of `member_orders(r)`.  One
+    `member_verdict` pass; positions are int8, so its temporaries take
+    a few bytes per (constraint, order, member).
+    """
+    by_order = np.argsort(member_orders(inst.r), axis=1).astype(np.int8)  # position of each slot
+    shape = (len(by_order), inst.constraint_count(), inst.r)
+    return ~member_verdict(inst)(np.broadcast_to(by_order[:, None, :], shape)).T
 
 
 def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:

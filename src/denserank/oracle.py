@@ -18,8 +18,9 @@ the optimum.  Each engine refuses instances above its own vertex cap
 (`DEFAULT_CAPS`) unless the caller passes an explicit cap.
 
 The per-family verdict lives in `model.batch_verdict`: enumeration runs
-it over blocks of permutations, and the DP runs it, through
-`model.member_verdict`, once on every member order of every constraint.
+it over blocks of permutations, and the DP reads
+`model.order_violations`, which runs it once on every member order of
+every constraint.
 The tests pin both against an independently written pure-Python
 enumerator.
 """
@@ -41,7 +42,8 @@ from .model import (
     VertexId,
     batch_verdict,
     induced,
-    member_verdict,
+    member_orders,
+    order_violations,
     subsets,
 )
 
@@ -154,15 +156,11 @@ def _order_violations(inst: Instance) -> np.ndarray:
     are 0.
     """
     n, r = inst.n, inst.r
-    members = subsets(n, r)
-    orders = np.array(list(itertools.permutations(range(r))))  # member slots, first placed first
-    by_order = np.argsort(orders, axis=1)  # position of each slot under each order
-    positions = np.broadcast_to(by_order[:, None, :], (len(orders), len(members), r))
-    violated = ~member_verdict(inst)(positions)
-    placed = members[:, orders]  # (C, r!, r): each constraint's members in each order
+    # (C, r!, r): each constraint's members in each order
+    placed = subsets(n, r)[:, member_orders(r)]
     table = np.zeros((n,) * r, dtype=np.int32)
     # index by the second-to-last member placed, then the others in order
-    table[tuple(placed[..., j] for j in (r - 2, *range(r - 2), r - 1))] = violated.T
+    table[tuple(placed[..., j] for j in (r - 2, *range(r - 2), r - 1))] = order_violations(inst)
     return table
 
 

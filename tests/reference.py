@@ -9,10 +9,17 @@ Slow on purpose; keep n at 7 or below.
 it checked records as one table, kept verbatim as the reference for the
 differential parse test.  It shares only the scalar validation rule and
 the error types with the package.
+
+`local_search_provider` is the adjacent-swap hill climber as it was
+when it recounted every constraint's verdict for each trial swap, kept
+verbatim as the reference for the differential local-search test.  It
+shares only the batch verdict with the package.
 """
 
 import itertools
 from math import comb
+
+import numpy as np
 
 from denserank.errors import (
     DuplicateRecordError,
@@ -27,6 +34,8 @@ from denserank.model import (
     Family,
     Instance,
     ProblemKind,
+    Ranking,
+    batch_verdict,
     constraint_from_row,
     selected_width,
     validate_constraint,
@@ -143,3 +152,33 @@ def parse(text):
                 len(lines) + 1,
             ) from None
     return Instance._from_table(n, kind, rows)
+
+
+def local_search_provider(inst: Instance) -> Ranking:
+    """Adjacent-swap hill climbing from the identity ranking.
+
+    First-improvement scans repeated until a full pass is swap-free.
+    No approximation factor is guaranteed; use it only where a heuristic
+    fault count is acceptable.
+    """
+    order = list(range(inst.n))
+    verdict = batch_verdict(inst)
+    total = inst.constraint_count()
+
+    def faults() -> int:
+        # argsort inverts the permutation: positions indexed by vertex
+        return total - int(verdict(np.argsort(order)[None, :]).sum())
+
+    best = faults()
+    improved = True
+    while improved and best > 0:
+        improved = False
+        for i in range(inst.n - 1):
+            order[i], order[i + 1] = order[i + 1], order[i]
+            b = faults()
+            if b < best:
+                best = b
+                improved = True
+            else:
+                order[i], order[i + 1] = order[i + 1], order[i]
+    return Ranking(tuple(order))

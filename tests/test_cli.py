@@ -222,8 +222,9 @@ class TestKernelize:
         assert exc.value.code == 2
 
     # Sizes where both drop rules, sunflower edits and (fast_r2_n16) a
-    # conflict-packing edit fire; the expected stdout, kernel file and
-    # trace file are frozen byte for byte.
+    # conflict-packing edit fire, and two r = 4 local-search runs (the
+    # tfast one fires sunflower edits); the expected stdout, kernel file
+    # and trace file are frozen byte for byte.
     @pytest.mark.parametrize(
         "name,gen_argv,kernel_argv",
         [
@@ -238,6 +239,16 @@ class TestKernelize:
             (
                 "betweenness_r3_n12",
                 ("betweenness", "3", "12", "3", "0"),
+                ("--k", "2", "--provider", "localsearch"),
+            ),
+            (
+                "tfast_r4_n10",
+                ("tfast", "4", "10", "3", "1"),
+                ("--k", "1", "--provider", "localsearch"),
+            ),
+            (
+                "betweenness_r4_n9",
+                ("betweenness", "4", "9", "2", "1"),
                 ("--k", "2", "--provider", "localsearch"),
             ),
         ],

@@ -1,9 +1,11 @@
 import itertools
 import re
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from conftest import consistent_instance
 from denserank import kernel, oracle
 from denserank.approx import DegreeProfile, inc_degree_ranking
@@ -45,6 +47,7 @@ from denserank.model import (
     OrderedInstance,
     ProblemKind,
     Ranking,
+    all_selected_values,
     fault_count,
 )
 
@@ -58,6 +61,8 @@ B4 = ProblemKind(Family.BETWEENNESS, 4)
 F2 = ProblemKind(Family.FAST, 2)
 F3 = ProblemKind(Family.FAST, 3)
 T3 = ProblemKind(Family.TRANSITIVE_FAST, 3)
+T4 = ProblemKind(Family.TRANSITIVE_FAST, 4)
+LOCAL_SEARCH_KINDS = [F2, F3, B3, B4, T3, T4]
 
 
 def broken_at(kind, n, members, sigma=None):
@@ -83,6 +88,55 @@ class TestProviders:
         inst = consistent_instance(F2, 5, sigma)
         found = local_search_provider(inst)
         assert fault_count(OrderedInstance(inst, found)) == 0
+
+    @pytest.mark.parametrize("kind", LOCAL_SEARCH_KINDS)
+    def test_local_search_keeps_a_consistent_identity(self, kind):
+        inst = consistent_instance(kind, kind.r + 3)
+        assert local_search_provider(inst) == Ranking.identity(kind.r + 3)
+
+    @pytest.mark.parametrize("kind", LOCAL_SEARCH_KINDS)
+    def test_local_search_on_a_single_constraint(self, kind):
+        """n = r: one constraint, and each vertex pair is held by it
+        alone.  Some selected data leave the identity stuck at a fault
+        (reversing a tfast chain needs swaps that gain nothing)."""
+        members = tuple(range(kind.r))
+        for selected in all_selected_values(kind, members):
+            inst = Instance(kind.r, kind, [Constraint(members, selected)])
+            found = local_search_provider(inst)
+            assert found == reference.local_search_provider(inst)
+            assert fault_count(OrderedInstance(inst, found)) == reference.faults_under(
+                inst, found.order
+            )
+
+
+# Drawn sizes run from r to 12; the pinned examples add the
+# kernelize-localsearch benchmark shapes (planted, n = 16 and 18, four
+# edits) and a uniform n = 18 instance for every kind.
+@pytest.mark.parametrize("kind", LOCAL_SEARCH_KINDS, ids=lambda k: f"{k.family.value}{k.r}")
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    n=st.integers(2, 12),
+    planted=st.booleans(),
+    edits=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(n=16, planted=True, edits=4, seed=5)
+@example(n=18, planted=True, edits=4, seed=11)
+@example(n=18, planted=False, edits=1, seed=3)
+def test_local_search_matches_the_full_recount(kind, n, planted, edits, seed):
+    """Same ranking as recounting every constraint per trial swap, and
+    the same fault count of it under an independent counter."""
+    n = max(n, kind.r)
+    if planted:
+        spec = GeneratorSpec(kind, n, GenerationMode.PLANTED, seed, min(edits, comb(n, kind.r)))
+    else:
+        spec = GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed)
+    inst = generate(spec)
+    found = local_search_provider(inst)
+    expected = reference.local_search_provider(inst)
+    assert found == expected
+    faults = fault_count(OrderedInstance(inst, found))
+    assert faults == reference.faults_under(inst, expected.order)
 
 
 class TestSunflowerShape:
@@ -348,9 +402,29 @@ class TestTrivialInstances:
 
     @pytest.mark.parametrize("yes", [True, False])
     def test_wrong_oracle_answer_fails_loudly(self, monkeypatch, yes):
+        trivial_instance(F3, yes)  # confirmed once, so the next call skips the oracle
         monkeypatch.setattr(oracle, "decide", lambda inst, k, cap=None: not yes)
+        monkeypatch.setattr(kernel, "_TRIVIAL_CONFIRMED", set())
         with pytest.raises(KernelDriverError, match="opposite answer to yes"):
             trivial_instance(F3, yes)
+        with pytest.raises(KernelDriverError, match="opposite answer to yes"):
+            trivial_instance(F3, yes)
+
+    def test_oracle_confirms_each_answer_once(self, monkeypatch):
+        calls = []
+        decide = oracle.decide
+
+        def counted(inst, k):
+            calls.append(inst)
+            return decide(inst, k)
+
+        monkeypatch.setattr(oracle, "decide", counted)
+        monkeypatch.setattr(kernel, "_TRIVIAL_CONFIRMED", set())
+        for kind in (B3, F2):
+            for yes in (True, False):
+                first = trivial_instance(kind, yes)
+                assert trivial_instance(kind, yes) == first
+        assert [(inst.kind, inst.n) for inst in calls] == [(B3, 3), (B3, 4), (F2, 2), (F2, 3)]
 
 
 class TestCharacterizedDriver:
