@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from math import comb
 from typing import Optional
@@ -251,7 +252,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it keeps no state
+    between `parse_args` calls."""
     parser = argparse.ArgumentParser(
         prog="denserank",
         description="Dense ranking constraint systems: generate, solve, approximate, kernelize.",
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="largest vertex count the exact oracle will accept (default: "
             f"{oracle.DEFAULT_CAPS[oracle.SUBSET_DP]} for the subset DP at r <= 3, "
-            f"{oracle.DEFAULT_CAPS[oracle.ENUMERATION]} for enumeration at r >= 4)",
+            f"{oracle.DEFAULT_CAPS[oracle.PREFIX_SEARCH]} for the prefix search at r >= 4)",
         )
 
     p = sub.add_parser("gen", help="write a seeded instance file")
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(
-        "solve", help="exact optimum: subset DP at r <= 3, enumeration of all rankings above"
+        "solve", help="exact optimum: subset DP at r <= 3, bounded prefix search above"
     )
     p.add_argument("instance")
     add_cap(p)

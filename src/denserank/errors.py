@@ -23,6 +23,10 @@ class EnumerationCapError(DenseRankError):
     """The exact oracle was asked about more vertices than its engine's cap."""
 
 
+class OracleError(DenseRankError):
+    """The exact oracle reached a state its construction excludes."""
+
+
 class SemanticsError(DenseRankError):
     """Operation applied to a constraint family it is not defined for."""
 

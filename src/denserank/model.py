@@ -406,6 +406,9 @@ def member_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
     return lambda pos: verdict(pos.reshape(len(pos), count * r))
 
 
+_WHOLE_ORDERS = 8  # arity up to which `order_violations` scores all orders at once
+
+
 @functools.lru_cache(maxsize=None)
 def member_orders(r: int) -> np.ndarray:
     """The r! orders of r member slots, lexicographic and read-only.
@@ -422,13 +425,26 @@ def order_violations(inst: Instance) -> np.ndarray:
     """The (C, r!) mask of every member order of every constraint.
 
     Entry [c, o] is True when constraint c is violated by a ranking that
-    puts its members in order o of `member_orders(r)`.  One
-    `member_verdict` pass; positions are int8, so its temporaries take
-    a few bytes per (constraint, order, member).
+    puts its members in the o-th member order, lexicographically (row o
+    of `member_orders(r)`).  One `member_verdict` pass per 8! orders;
+    positions are int8, so its temporaries take a few bytes per
+    (constraint, order, member).  Above r = 8 the orders are built one
+    block of fixed leading slots at a time, so the r! x r table of
+    `member_orders(r)` is never built.
     """
-    by_order = np.argsort(member_orders(inst.r), axis=1).astype(np.int8)  # position of each slot
-    shape = (len(by_order), inst.constraint_count(), inst.r)
-    return ~member_verdict(inst)(np.broadcast_to(by_order[:, None, :], shape)).T
+    r = inst.r
+    lead = max(r - _WHOLE_ORDERS, 0)
+    tail = np.argsort(member_orders(r - lead), axis=1).astype(np.int8)  # position of each slot
+    shape = (len(tail), inst.constraint_count(), r)
+    verdict = member_verdict(inst)
+    blocks = []
+    for head in itertools.permutations(range(r), lead):
+        rest = [slot for slot in range(r) if slot not in head]
+        pos = np.empty((len(tail), r), dtype=np.int8)
+        pos[:, list(head)] = np.arange(lead)
+        pos[:, rest] = tail + lead
+        blocks.append(~verdict(np.broadcast_to(pos[:, None, :], shape)).T)
+    return np.concatenate(blocks, axis=1)
 
 
 def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:

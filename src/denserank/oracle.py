@@ -7,34 +7,47 @@
   whole member order is known.  The cost of that step depends only on
   (S, v), and g(S) = min over v not in S of cost(S, v) + g(S + v)
   is a table over the 2^n vertex subsets.
-* Enumeration of all n! rankings, for r >= 4, where a constraint's
-  verdict is not fixed by such a prefix.  It is also the cross-check of
-  the DP in the tests.
+* Prefix search, for r >= 4, where a constraint's verdict is not fixed
+  by the set of vertices placed before it.  Rankings are again built
+  front to back, and their prefixes are visited in lexicographic order;
+  a prefix whose bound is above a budget K is cut off with everything
+  below it.  A constraint's state is the ordered tuple of its members
+  placed so far, and `settled[c, state]` is the fewest violations of c
+  over every member order extending that state: its verdict at full
+  depth, the minimum over the one-slot extensions below that.  A
+  prefix's bound, the sum of its constraints' settled values, never
+  falls as the prefix grows and is the fault count once the prefix is a
+  whole ranking; placing v moves only the C(n-1, r-1) constraints that
+  hold v.  `decide` searches with K = k and stops at the first complete
+  ranking.  `min_inconsistencies` takes K from the fault count of a
+  greedy dive and, each time it completes a ranking of cost B, prunes
+  the rest of the search at B - 1.
 
-Both report the lexicographically first optimal ranking: enumeration
-scans rankings in lexicographic order, and the DP rebuilds its witness
-front to back, each time placing the smallest vertex that still reaches
-the optimum.  Each engine refuses instances above its own vertex cap
-(`DEFAULT_CAPS`) unless the caller passes an explicit cap.
+Both report the lexicographically first optimal ranking: the DP
+rebuilds its witness front to back, each time placing the smallest
+vertex that still reaches the optimum, and the prefix search keeps a
+ranking only when it is cheaper than every ranking before it in
+lexicographic order.  Each engine refuses instances above its own vertex
+cap (`DEFAULT_CAPS`) unless the caller passes an explicit cap.
 
-The per-family verdict lives in `model.batch_verdict`: enumeration runs
-it over blocks of permutations, and the DP reads
-`model.order_violations`, which runs it once on every member order of
-every constraint.
-The tests pin both against an independently written pure-Python
-enumerator.
+The per-family verdict lives in `model.batch_verdict`; both engines
+read it through `model.order_violations`, which runs it once on every
+member order of every constraint.  The tests pin both engines against
+each other, against the n! enumerator they replaced and against an
+independently written pure-Python enumerator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EnumerationCapError, SemanticsError
+from .errors import EnumerationCapError, OracleError, SemanticsError
 from .model import (
     Instance,
     ProblemKind,
@@ -48,17 +61,17 @@ from .model import (
 )
 
 SUBSET_DP = "subset-dp"
-ENUMERATION = "enumeration"
-DEFAULT_CAPS = {SUBSET_DP: 18, ENUMERATION: 10}
+PREFIX_SEARCH = "prefix-search"
+DEFAULT_CAPS = {SUBSET_DP: 18, PREFIX_SEARCH: 10}
 
-_BLOCK = 40320  # 8!, so instances up to n = 8 fit in a single block
+_BLOCK = 1024  # prefixes the search extends at a time
 _PLACED = 1 << 24  # step cost of a vertex already placed; far above any real sum
 
 
 @dataclass(frozen=True)
 class ExactResult:
     """Optimum and witness, with the engine that found them and how much
-    it searched: DP states (2^n) or rankings scored."""
+    it searched: DP states (2^n) or ranking prefixes extended."""
 
     opt: int
     witness: Ranking
@@ -67,7 +80,7 @@ class ExactResult:
 
 
 def _engine(kind: ProblemKind) -> str:
-    return SUBSET_DP if kind.r <= 3 else ENUMERATION
+    return SUBSET_DP if kind.r <= 3 else PREFIX_SEARCH
 
 
 def refuses(kind: ProblemKind, n: int, cap: Optional[int] = None) -> bool:
@@ -87,60 +100,192 @@ def _check_cap(engine: str, n: int, cap: Optional[int]) -> None:
     if engine == SUBSET_DP:
         work = f"a table over {2 ** n} vertex subsets"
     else:
-        work = f"{factorial(n)} rankings"
+        work = f"a search over the prefixes of up to {factorial(n)} rankings"
     raise EnumerationCapError(
         f"exact {engine} over {n} vertices exceeds the cap of {cap}; "
         f"raise the cap explicitly if you really want {work}"
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _popcounts(n: int) -> np.ndarray:
+    """Number of set bits of every n-bit mask (read-only)."""
+    size = np.zeros(1 << n, dtype=np.int8)
+    for j in range(n):
+        np.add(size[: 1 << j], 1, out=size[1 << j : 2 << j])
+    size.flags.writeable = False
+    return size
+
+
 # ---------------------------------------------------------------------------
-# enumeration
+# prefix search
 
 
-def _perm_blocks(n: int) -> Iterator[np.ndarray]:
-    stream = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(stream, _BLOCK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int8)
+class _Prefixes(NamedTuple):
+    """Ranking prefixes of one length, in lexicographic order."""
+
+    order: np.ndarray  # (m, d) the placed vertices, first-ranked first
+    placed: np.ndarray  # (m,) bitmask of the placed vertices
+    state: np.ndarray  # (m, C) each constraint's state: its column of the table
+    bound: np.ndarray  # (m,) settled violations
+
+    def take(self, rows) -> "_Prefixes":
+        return _Prefixes(*(column[rows] for column in self))
 
 
-def _positions(perms: np.ndarray) -> np.ndarray:
-    m, n = perms.shape
-    pos = np.empty_like(perms)
-    pos[np.arange(m)[:, None], perms] = np.arange(n, dtype=perms.dtype)
-    return pos
+class _PrefixSearch:
+    """The settled table of one instance and the searches over it.
 
+    Tuples of j member slots are ranked lexicographically; the children
+    of tuple t, one per unused slot i in increasing order, are ranks
+    rank(t) * (r - j) + i among the tuples of length j + 1.  So level j
+    of the table is level j + 1 reshaped to r - j columns per row and
+    reduced by `min`.  A tuple of r - 1 slots fixes the last one, so
+    level r - 1 is `order_violations`, whose member orders are
+    lexicographic too, and placing the last member keeps the state.
 
-def _block_faults(inst: Instance) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each permutation block with its per-ranking fault counts."""
-    verdict = batch_verdict(inst)
-    total = inst.constraint_count()
-    for perms in _perm_blocks(inst.n):
-        # Holding `ok` until the next block replaces it keeps glibc malloc
-        # from trimming the block's temporaries off the heap and faulting
-        # them back in (25% on betweenness at n = 9, 2-core Linux host).
-        ok = verdict(_positions(perms))
-        yield perms, total - ok.sum(axis=1, dtype=np.int64)
+    A state indexes the flat table: constraint c's tuple of j slots with
+    rank q is c * width + offset[j] + q.  `searched` counts prefixes
+    extended.
+    """
 
+    def __init__(self, inst: Instance):
+        n, r = inst.n, inst.r
+        members = subsets(n, r)
+        count = len(members)
+        levels = [order_violations(inst).astype(np.int8)]
+        for j in range(r - 2, -1, -1):
+            levels.append(levels[-1].reshape(count, -1, r - j).min(axis=2))
+        levels.reverse()
+        sizes = [level.shape[1] for level in levels]
+        offset = [0, *itertools.accumulate(sizes)]
+        width = offset[-1]
+        self.settled = np.concatenate(levels, axis=1).ravel()
+        dtype = np.uint16 if count * width <= 1 << 16 else np.int32
+        states = np.arange(count, dtype=dtype)[:, None] * width
+        # first[s]: the state after placing the smallest unused slot of s
+        first = np.empty((count, width), dtype=dtype)
+        for j, size in enumerate(sizes):
+            grown = first[:, offset[j] : offset[j + 1]]
+            grown[:] = np.arange(size, dtype=dtype)
+            if j < r - 1:
+                grown *= r - j
+            grown += offset[min(j + 1, r - 1)]
+        first += states
+        self.first = first.ravel()
+        self.n, self.inst = n, inst
+        self.pop = _popcounts(n)
+        self.bits = _bits(n)
+        # the constraints holding each vertex v (C(n-1, r-1) of them) and
+        # the bitmask of their members in the slots before v's
+        _, held, slot = np.nonzero(members == np.arange(n)[:, None, None])
+        self.held, slot = held.reshape(n, -1), slot.reshape(n, -1)
+        before = np.arange(r) < slot[..., None]
+        self.low = np.where(before, self.bits[members[self.held]], 0).sum(axis=2)
+        self.root = _Prefixes(
+            np.zeros((1, 0), dtype=np.int8),
+            np.zeros(1, dtype=np.int64),
+            states.T.astype(dtype),
+            np.zeros(1, dtype=np.int64),
+        )
+        self.searched = 0
 
-def min_by_enumeration(inst: Instance, cap: Optional[int] = None) -> ExactResult:
-    """The optimum by scoring rankings in lexicographic order; stops
-    after the first block holding a consistent ranking."""
-    _check_cap(ENUMERATION, inst.n, cap)
-    best = best_order = None
-    scored = 0
-    for perms, counts in _block_faults(inst):
-        scored += len(perms)
-        i = int(np.argmin(counts))
-        if best is None or counts[i] < best:
-            best = int(counts[i])
-            best_order = tuple(perms[i].tolist())
-            if best == 0:
+    def extend(self, block: _Prefixes, budget: int) -> _Prefixes:
+        """Every one-vertex extension of the block with bound at most
+        `budget`, in lexicographic order."""
+        order, placed, state, bound = block
+        self.searched += len(bound)
+        rows, vs = np.nonzero((placed[:, None] & self.bits) == 0)
+        held = self.held[vs]
+        # (gathers index with intp arrays: numpy converts any other type slowly)
+        old = state.ravel().take(rows[:, None] * state.shape[1] + held).astype(np.intp)
+        # v's index among each constraint's unused slots: its unplaced members before v
+        unused = self.pop.take(~placed[rows, None] & self.low[vs])
+        new = np.add(self.first.take(old), unused, dtype=np.intp)
+        gain = self.settled.take(new) - self.settled.take(old)
+        cost = bound[rows] + gain.sum(axis=1, dtype=np.int64)
+        kept = np.flatnonzero(cost <= budget)
+        parent = rows[kept]
+        child = state[parent]
+        child[np.arange(len(kept))[:, None], held[kept]] = new[kept]
+        vs = vs[kept]
+        return _Prefixes(
+            np.column_stack((order[parent], vs.astype(np.int8))),
+            placed[parent] | self.bits[vs],
+            child,
+            cost[kept],
+        )
+
+    def _complete(self, order: np.ndarray) -> tuple[VertexId, ...]:
+        """The whole ranking of a prefix that misses one vertex; at that
+        depth every constraint's member order is known, so the bound
+        is the ranking's fault count."""
+        last = self.n * (self.n - 1) // 2 - int(order.sum())
+        return (*order.tolist(), last)
+
+    def dive(self) -> int:
+        """Fault count of the greedy ranking that places, at each step,
+        the smallest vertex with the least bound increase."""
+        block = self.root
+        while block.order.shape[1] < self.n - 1:
+            children = self.extend(block, self.inst.constraint_count())
+            block = children.take([int(np.argmin(children.bound))])
+        return int(block.bound[0])
+
+    def search(self, budget: int, first: bool) -> Optional[tuple[int, tuple[VertexId, ...]]]:
+        """The lexicographically first ranking among those with the
+        fewest faults, if at most `budget`; with `first`, the
+        lexicographically first ranking with at most `budget` faults.
+
+        Prefixes are extended `_BLOCK` at a time, depth first: a stack
+        holds blocks whose prefixes all precede those of the blocks
+        below them, so complete rankings arrive in lexicographic order.
+        Each one kept lowers the budget to one below its cost.
+        """
+        found = None
+        stack = [self.root]
+        while stack and budget >= 0:
+            block = stack.pop()
+            if len(block.bound) > _BLOCK:
+                stack.append(block.take(slice(_BLOCK, None)))
+                block = block.take(slice(_BLOCK))
+            # blocks made before the budget last fell may hold prefixes above it
+            block = self.extend(block.take(block.bound <= budget), budget)
+            if not len(block.bound):
+                continue
+            if block.order.shape[1] < self.n - 1:
+                stack.append(block)
+                continue
+            i = 0 if first else int(np.argmin(block.bound))
+            found = int(block.bound[i]), self._complete(block.order[i])
+            if first:
                 break
-    return ExactResult(best, Ranking(best_order), ENUMERATION, scored)
+            budget = found[0] - 1
+        if found is not None:
+            self._recount(*found)
+        return found
+
+    def _recount(self, cost: int, order: tuple[VertexId, ...]) -> None:
+        pos = np.empty((1, self.n), dtype=np.int64)
+        pos[0, list(order)] = np.arange(self.n)
+        faults = self.inst.constraint_count() - int(batch_verdict(self.inst)(pos).sum())
+        if faults != cost:
+            raise OracleError(
+                f"prefix search bound {cost} differs from the {faults} faults of ranking {order}"
+            )
+
+
+def min_by_prefix_search(inst: Instance, cap: Optional[int] = None) -> ExactResult:
+    """The optimum by a search over ranking prefixes, budgeted by a
+    greedy dive; the witness is the lexicographically first optimum."""
+    _check_cap(PREFIX_SEARCH, inst.n, cap)
+    search = _PrefixSearch(inst)
+    budget = search.dive()
+    found = search.search(budget, first=False)
+    if found is None:
+        raise OracleError(f"prefix search found no ranking within the greedy ranking's {budget} faults")
+    opt, order = found
+    return ExactResult(opt, Ranking(order), PREFIX_SEARCH, search.searched)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +353,7 @@ def _subset_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
         raise SemanticsError(f"the subset DP needs arity <= 3, got r={inst.r}")
     n = inst.n
     cost = _step_costs(inst)
-    size = np.zeros(1 << n, dtype=np.int8)
-    for j in range(n):
-        np.add(size[: 1 << j], 1, out=size[1 << j : 2 << j])
+    size = _popcounts(n)
     by_size = np.argsort(size, kind="stable")
     starts = np.searchsorted(size[by_size], np.arange(n + 1))
     bits = _bits(n)
@@ -248,14 +391,14 @@ def min_inconsistencies(inst: Instance, cap: Optional[int] = None) -> ExactResul
     first ranking attaining it."""
     if _engine(inst.kind) == SUBSET_DP:
         return min_by_subset_dp(inst, cap)
-    return min_by_enumeration(inst, cap)
+    return min_by_prefix_search(inst, cap)
 
 
 def decide(inst: Instance, k: int, cap: Optional[int] = None) -> bool:
     """Is there a ranking violating at most k constraints?
 
-    The subset DP (r <= 3) compares its optimum with k.  Enumeration
-    stops at the first witness, so a NO answer scans all n! rankings.
+    The subset DP (r <= 3) compares its optimum with k.  The prefix
+    search runs with budget k and stops at the first ranking within it.
     """
     if k < 0:
         return False
@@ -263,7 +406,7 @@ def decide(inst: Instance, k: int, cap: Optional[int] = None) -> bool:
     _check_cap(engine, inst.n, cap)
     if engine == SUBSET_DP:
         return int(_subset_table(inst)[1][0]) <= k
-    return any(bool((counts <= k).any()) for _, counts in _block_faults(inst))
+    return _PrefixSearch(inst).search(k, first=True) is not None
 
 
 def is_conflict(inst: Instance, subset: Iterable[VertexId], cap: Optional[int] = None) -> bool:

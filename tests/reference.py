@@ -14,10 +14,18 @@ the error types with the package.
 when it recounted every constraint's verdict for each trial swap, kept
 verbatim as the reference for the differential local-search test.  It
 shares only the batch verdict with the package.
+
+`min_by_enumeration` is the oracle's engine for r >= 4 before the
+prefix search replaced it: every ranking scored with the batch verdict,
+in lexicographic blocks of 8! permutations, stopping after the first
+block that holds a consistent ranking.  It is kept verbatim, without
+the vertex cap, as the reference for the differential oracle tests.  It
+shares only the batch verdict with the package.
 """
 
 import itertools
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +48,7 @@ from denserank.model import (
     selected_width,
     validate_constraint,
 )
+from denserank.oracle import ExactResult
 
 
 def _satisfied(family, members, selected, pos):
@@ -182,3 +191,50 @@ def local_search_provider(inst: Instance) -> Ranking:
             else:
                 order[i], order[i + 1] = order[i + 1], order[i]
     return Ranking(tuple(order))
+
+
+_BLOCK = 40320  # 8!, so instances up to n = 8 fit in a single block
+
+
+def _perm_blocks(n: int) -> Iterator[np.ndarray]:
+    stream = itertools.permutations(range(n))
+    while True:
+        block = list(itertools.islice(stream, _BLOCK))
+        if not block:
+            return
+        yield np.array(block, dtype=np.int8)
+
+
+def _positions(perms: np.ndarray) -> np.ndarray:
+    m, n = perms.shape
+    pos = np.empty_like(perms)
+    pos[np.arange(m)[:, None], perms] = np.arange(n, dtype=perms.dtype)
+    return pos
+
+
+def _block_faults(inst: Instance) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each permutation block with its per-ranking fault counts."""
+    verdict = batch_verdict(inst)
+    total = inst.constraint_count()
+    for perms in _perm_blocks(inst.n):
+        # Holding `ok` until the next block replaces it keeps glibc malloc
+        # from trimming the block's temporaries off the heap and faulting
+        # them back in (25% on betweenness at n = 9, 2-core Linux host).
+        ok = verdict(_positions(perms))
+        yield perms, total - ok.sum(axis=1, dtype=np.int64)
+
+
+def min_by_enumeration(inst: Instance) -> ExactResult:
+    """The optimum by scoring rankings in lexicographic order; stops
+    after the first block holding a consistent ranking."""
+    best = best_order = None
+    scored = 0
+    for perms, counts in _block_faults(inst):
+        scored += len(perms)
+        i = int(np.argmin(counts))
+        if best is None or counts[i] < best:
+            best = int(counts[i])
+            best_order = tuple(perms[i].tolist())
+            if best == 0:
+                break
+    return ExactResult(best, Ranking(best_order), "enumeration", scored)

@@ -9,7 +9,7 @@ import pytest
 
 import denserank
 from conftest import consistent_instance
-from denserank import fileformat, oracle
+from denserank import cli, fileformat, oracle
 from denserank.cli import main
 from denserank.errors import (
     DuplicateRecordError,
@@ -329,6 +329,44 @@ class TestBench:
         )
         assert code == 0
         assert out.splitlines()[0].startswith("family,r,n,k,seed,mode,edits,p0,verdict")
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one in-process request, usage
+    errors (argparse's SystemExit) included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_answers_like_a_fresh_one(capsys, tmp_path, monkeypatch):
+    """`main` builds its parser once per process.  Alternating
+    subcommands, usage errors (exit 2) and cap refusals (exit 5) through
+    it print what a parser built afresh for every request prints."""
+    fast = gen_file(capsys, tmp_path, "f.rcsp", "--family", "fast", "--r", "2", "--n", "6", "--edits", "2")
+    big = gen_file(capsys, tmp_path, "b.rcsp", "--family", "betweenness", "--r", "4", "--n", "11")
+    requests = [
+        ("solve", fast),
+        ("kernelize", fast),
+        ("approx", fast, "--compare-opt"),
+        ("solve", big),
+        ("gen", "--family", "tfast", "--n", "5", "--seed", "2"),
+        ("solve", fast, "--oracle-cap", "4"),
+        ("kernelize", fast, "--k", "1"),
+        ("bench", "--family", "fast", "--r", "2", "--n-list", "5", "--k-list", "1", "--seeds", "1"),
+        ("solve", "--family", "fast", fast),
+        ("solve", fast),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [_outcome(capsys, argv) for argv in requests]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in requests]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 0, 5, 0, 5, 0, 0, 2, 0]
+    assert cached[0] == cached[-1]
 
 
 GEN_ARGV = ("gen", "--family", "fast", "--r", "2", "--n", "5", "--mode", "uniform")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from conftest import FORMAT_KINDS, consistent_instance
-from denserank import oracle
 from denserank.errors import DensityError, EmptyInstanceError, InvalidConstraintError
 from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.model import (
@@ -179,7 +179,7 @@ def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
     rejected = [c for c in inst.constraints() if not evaluate(kind, c, sigma)]
     assert inconsistent_constraints(oi) == rejected
 
-    row = oracle._positions(np.array([sigma.order], dtype=np.int8))
+    row = reference._positions(np.array([sigma.order], dtype=np.int8))
     batch_faults = inst.constraint_count() - int(batch_verdict(inst)(row).sum())
     assert fault_count(oi) == batch_faults == len(rejected)
     by_member = member_verdict(inst)(row[:, subsets(n, kind.r)])

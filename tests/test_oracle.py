@@ -1,8 +1,8 @@
 import itertools
-from math import comb, factorial
+from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference
 from conftest import consistent_instance
@@ -14,6 +14,7 @@ from denserank.model import (
     Family,
     OrderedInstance,
     ProblemKind,
+    Ranking,
     all_selected_values,
     fault_count,
     induced,
@@ -23,7 +24,9 @@ F2 = ProblemKind(Family.FAST, 2)
 F3 = ProblemKind(Family.FAST, 3)
 B3 = ProblemKind(Family.BETWEENNESS, 3)
 T3 = ProblemKind(Family.TRANSITIVE_FAST, 3)
+F4 = ProblemKind(Family.FAST, 4)
 B4 = ProblemKind(Family.BETWEENNESS, 4)
+T4 = ProblemKind(Family.TRANSITIVE_FAST, 4)
 
 # Golden optima for seeded uniform instances, frozen after both
 # enumerators (the vectorized oracle and the plain reference loop)
@@ -96,12 +99,53 @@ class TestMinInconsistencies:
     def test_reports_engine_and_search_size(self, uniform):
         res = oracle.min_inconsistencies(uniform(Family.FAST, 3, 6, 2))
         assert (res.engine, res.searched) == ("subset-dp", 2**6)
+        # prefixes extended: 5 by the greedy dive, the rest by the search
         res = oracle.min_inconsistencies(uniform(Family.BETWEENNESS, 4, 6, 2))
-        assert (res.engine, res.searched) == ("enumeration", factorial(6))
+        assert (res.engine, res.searched) == ("prefix-search", 116)
 
-    def test_enumeration_stops_after_the_first_consistent_block(self):
-        res = oracle.min_by_enumeration(consistent_instance(B4, 9))
-        assert (res.opt, res.searched) == (0, 40320)
+    def test_consistent_instance_is_found_without_backtracking(self):
+        # the greedy dive reaches 0 in 8 steps, so the search runs at budget
+        # 0 and extends only prefixes of sigma and of its reverse, which
+        # betweenness also accepts: 1 + 2 * 7 of them
+        sigma = Ranking((4, 2, 7, 0, 8, 1, 6, 3, 5))
+        res = oracle.min_inconsistencies(consistent_instance(B4, 9, sigma))
+        assert (res.opt, res.witness, res.searched) == (0, sigma, 23)
+
+    def test_decide_stops_at_the_first_ranking_within_budget(self, uniform, monkeypatch):
+        extended = []
+        extend = oracle._PrefixSearch.extend
+
+        def counting(search, block, budget):
+            extended.append(len(block.bound))
+            return extend(search, block, budget)
+
+        monkeypatch.setattr(oracle._PrefixSearch, "extend", counting)
+        inst = uniform(Family.BETWEENNESS, 4, 9, 0)  # opt 84 of 126 constraints
+        # nothing is pruned, so the first block of each depth is extended
+        # and the identity, the first whole ranking, ends the search
+        assert oracle.decide(inst, 126)
+        assert extended == [1, 9, 72, 504, 1024, 1024, 1024, 1024]
+        extended.clear()
+        assert not oracle.decide(inst, 83)
+        assert sum(extended) == 7344
+        extended.clear()
+        assert not oracle.decide(inst, -1)
+        assert extended == []
+
+    def test_prefix_search_refuses_above_its_cap(self, planted):
+        inst = planted(Family.BETWEENNESS, 4, 11, 0, 2)
+        for call in (
+            lambda **cap: oracle.min_inconsistencies(inst, **cap),
+            lambda **cap: oracle.decide(inst, 2, **cap),
+            lambda **cap: oracle.is_conflict(inst, range(11), **cap),
+        ):
+            with pytest.raises(EnumerationCapError, match="prefix-search over 11 vertices exceeds the cap of 10;"):
+                call()
+            with pytest.raises(EnumerationCapError, match="exceeds the cap of 9;"):
+                call(cap=9)
+        res = oracle.min_inconsistencies(inst, cap=11)
+        assert res.opt <= 2 and fault_count(OrderedInstance(inst, res.witness)) == res.opt
+        assert oracle.decide(inst, res.opt, cap=11)
 
     def test_subset_dp_rejects_arity_four(self, uniform):
         with pytest.raises(SemanticsError):
@@ -170,6 +214,24 @@ class TestIsConflict:
         assert not reference.conflict(inst, (0, 1, 2, 3))
 
 
+def _draw(kind, n, planted, edits, seed):
+    if planted:
+        spec = GeneratorSpec(kind, n, GenerationMode.PLANTED, seed, min(edits, comb(n, kind.r)))
+    else:
+        spec = GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed)
+    return generate(spec)
+
+
+def _check_conflicts(inst, subsets):
+    """`is_conflict` on each drawn subset against enumerating its sub-instance."""
+    for subset in subsets:
+        subset = {v for v in subset if v < inst.n}
+        expected = len(subset) >= inst.r and (
+            reference.min_by_enumeration(induced(inst, subset)[0]).opt > 0
+        )
+        assert oracle.is_conflict(inst, subset) == expected
+
+
 # Each kind gets a planted and a uniform instance at n = 9 on top of the
 # drawn ones, which lean small.
 @pytest.mark.parametrize("kind", [F2, F3, B3, T3], ids=["fast2", "fast3", "betweenness3", "tfast3"])
@@ -185,24 +247,67 @@ class TestIsConflict:
 @example(n=9, planted=True, edits=4, seed=2, subsets=[{1, 2, 4, 6, 7, 8}])
 def test_subset_dp_matches_enumeration(kind, n, planted, edits, seed, subsets):
     """Same optimum, same lexicographically first witness, same
-    decisions and conflict verdicts as scoring every ranking."""
-    if planted:
-        spec = GeneratorSpec(kind, n, GenerationMode.PLANTED, seed, min(edits, comb(n, kind.r)))
-    else:
-        spec = GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed)
-    inst = generate(spec)
+    decisions and conflict verdicts as scoring every ranking; the prefix
+    search, run directly, agrees with both."""
+    inst = _draw(kind, n, planted, edits, seed)
 
     dp = oracle.min_by_subset_dp(inst)
-    enum = oracle.min_by_enumeration(inst)
-    assert (dp.engine, enum.engine) == ("subset-dp", "enumeration")
-    assert (dp.opt, dp.witness) == (enum.opt, enum.witness)
+    enum = reference.min_by_enumeration(inst)
+    search = oracle.min_by_prefix_search(inst)
+    assert (dp.engine, search.engine) == ("subset-dp", "prefix-search")
+    assert (dp.opt, dp.witness) == (enum.opt, enum.witness) == (search.opt, search.witness)
     assert oracle.min_inconsistencies(inst) == dp
     assert not oracle.decide(inst, dp.opt - 1)
     assert oracle.decide(inst, dp.opt)
+    _check_conflicts(inst, subsets)
 
-    for subset in subsets:
-        subset = {v for v in subset if v < n}
-        expected = len(subset) >= kind.r and (
-            oracle.min_by_enumeration(induced(inst, subset)[0]).opt > 0
-        )
-        assert oracle.is_conflict(inst, subset) == expected
+
+# As above for the prefix search at r = 3 and r = 4.  The r = 3 kinds run
+# it directly (the public entry points take the subset DP there).
+@pytest.mark.parametrize(
+    "kind",
+    [F3, B3, T3, F4, B4, T4],
+    ids=["fast3", "betweenness3", "tfast3", "fast4", "betweenness4", "tfast4"],
+)
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    n=st.integers(3, 9),
+    planted=st.booleans(),
+    edits=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+    subsets=st.lists(st.sets(st.integers(0, 8), max_size=7), min_size=1, max_size=3),
+)
+@example(n=9, planted=False, edits=1, seed=3, subsets=[{0, 1, 3, 4, 6, 8}])
+@example(n=9, planted=True, edits=3, seed=4, subsets=[{0, 2, 3, 5, 7}])
+def test_prefix_search_matches_enumeration(kind, n, planted, edits, seed, subsets):
+    """Same optimum and lexicographically first witness as scoring every
+    ranking, and the budgeted search answers YES exactly from opt on."""
+    assume(n >= kind.r)
+    inst = _draw(kind, n, planted, edits, seed)
+
+    search = oracle.min_by_prefix_search(inst)
+    enum = reference.min_by_enumeration(inst)
+    assert search.engine == "prefix-search"
+    assert (search.opt, search.witness) == (enum.opt, enum.witness)
+    for k in (search.opt - 1, search.opt):
+        found = oracle._PrefixSearch(inst).search(k, first=True)
+        assert (found is not None) == (k >= enum.opt)
+    if kind.r == 4:
+        assert oracle.min_inconsistencies(inst) == search
+        assert not oracle.decide(inst, search.opt - 1)
+        assert oracle.decide(inst, search.opt)
+        _check_conflicts(inst, subsets)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("r", [5, 6, 7])
+def test_prefix_search_on_one_constraint(family, r):
+    """n = r: a single constraint, always satisfiable; the witness is its
+    lexicographically first satisfying order."""
+    for seed in range(3):
+        inst = generate(GeneratorSpec(ProblemKind(family, r), r, GenerationMode.UNIFORM, seed))
+        res = oracle.min_inconsistencies(inst)
+        enum = reference.min_by_enumeration(inst)
+        assert (res.engine, res.opt) == ("prefix-search", 0)
+        assert res.witness == enum.witness
+        assert oracle.decide(inst, 0) and not oracle.is_conflict(inst, range(r))
