@@ -9,7 +9,14 @@ exactly one record per r-subset; writers emit them in lexicographic
 member order, readers accept any order.
 
 `parse` reads the records a block of lines at a time into one int64
-table with one row per field, and runs each check over the whole table
+table with one row per field.  A block in the form `serialize` writes,
+only ASCII digits, spaces and line feeds, is tokenized on its bytes with
+numpy: tokens are the runs of digits, each line must hold exactly as
+many as a record has fields, and values are built digit by digit.  Any
+other block (tabs, carriage returns or other line breaks, signs, `_`,
+non-ASCII characters, tokens of 19 or more digits, ids past the int64
+range) is split and converted as `str`, so it is read as before and
+fails as before.  `parse` then runs each check over the whole table
 at once: member range, strictly increasing members and valid selected
 data, then lexicographic subset ranks, which place each record and show
 whether any subset is duplicated or missing.  When a check fails, the
@@ -55,20 +62,30 @@ from .model import (
 
 MAGIC = "rcsp"
 VERSION = "1"
-# Characters per tokenizer block, 350-500 record lines of the benchmark
-# files: larger blocks keep more token strings alive at once, and then
-# reading a file of a few hundred records takes more memory than keeping
-# one Python record per line did.
-BLOCK_CHARS = 6_000
+# Characters per tokenizer block, about 3,000 record lines of the benchmark
+# files.  A plain block (see `_convert`) pays a fixed numpy cost per block
+# and a little per byte, and its temporary arrays take about 22 bytes per
+# character.  On a uniform `fast` r = 2, n = 300 file (489,000 characters)
+# parse took 12.5 ms with blocks of 6,000 characters, 7.0 ms with 32,768,
+# 6.6 ms with 65,536 and 7.8 ms with 131,072, against 41.7 ms with every
+# block read as str.  65,536 also raised the peak RSS of the benchmark's
+# kernelize-fast workload by 0.3-0.5 MB over that, and 32,768 did not.
+# Any other block goes through `str.split`, which keeps every token of the
+# block alive as a str at once, about 0.6 MB.
+BLOCK_CHARS = 32_768
+# The bytes of a plain block, and its longest token: 18 digits always fit
+# in int64, 19 may not.
+_PLAIN = b"0123456789 \n"
+PLAIN_DIGITS = 18
 
 _TAGS = {family.value: family for family in Family}
 
 
 def serialize(inst: Instance) -> str:
-    lines = [f"{MAGIC} {VERSION} {inst.kind.family.value} {inst.n} {inst.kind.r}"]
-    rows = np.hstack([subsets(inst.n, inst.r), inst.selected]).tolist()
-    lines.extend(" ".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    header = f"{MAGIC} {VERSION} {inst.kind.family.value} {inst.n} {inst.kind.r}\n"
+    table = np.hstack([subsets(inst.n, inst.r), inst.selected])
+    record = " ".join(["%d"] * table.shape[1])  # one format for the whole table
+    return header + "\n".join([record] * len(table)) % tuple(table.ravel().tolist()) + "\n"
 
 
 def _chunks(text: str, start: int) -> Iterator[str]:
@@ -84,8 +101,48 @@ def _chunks(text: str, start: int) -> Iterator[str]:
 def _convert(chunk: str, width: int, wide: bool) -> Optional[np.ndarray]:
     """The record lines of `chunk` as one (width, lines) table, one row
     per field, or None when a line has another token count or a token
-    `int` rejects.  The table is int64 unless `wide` (ids may pass the
-    int64 range): then it holds Python ints."""
+    `int` rejects.  A plain block, one that holds only ASCII digits,
+    spaces and line feeds and no token of more than PLAIN_DIGITS digits,
+    is tokenized on its bytes; any other, and every block of `wide` ids,
+    goes through `_convert_text`, which returns the same for a plain one."""
+    if wide or not chunk.isascii():
+        return _convert_text(chunk, width, wide)
+    data = chunk.encode("ascii")
+    if data.translate(None, _PLAIN):
+        return _convert_text(chunk, width, wide)
+    text = np.frombuffer(data, dtype=np.uint8)
+    digit = np.zeros(len(text) + 2, dtype=np.int8)
+    digit[1:-1] = text >= ord("0")  # digits are the only plain bytes above the space
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = edges[0::2], edges[1::2]  # each token is text[start:end]
+    lengths = ends - starts
+    longest = int(lengths.max(initial=0))
+    if longest > PLAIN_DIGITS:
+        return _convert_text(chunk, width, wide)
+    feeds = np.flatnonzero(text == ord("\n"))
+    lines = len(feeds) + (len(data) > 0 and data[-1] != ord("\n"))
+    if len(starts) != lines * width:
+        return None
+    # Tokens are in text order, so every line holds `width` of them exactly
+    # when each line's share, tokens width*i to width*i + width - 1, starts
+    # after line feed i - 1 and ends before line feed i.
+    if (starts[width::width] < feeds[: lines - 1]).any() or (
+        ends[width - 1 :: width][: len(feeds)] > feeds
+    ).any():
+        return None
+    # Horner over the tokens' digits aligned at their ends: a token shorter
+    # than `back` reads a 0 there, as if it had leading zeros.
+    digits = text - np.uint8(ord("0"))
+    values = np.zeros(len(starts), dtype=np.int64)
+    for back in range(longest, 0, -1):
+        values = values * 10 + digits[(ends - back).clip(0)] * (lengths >= back)
+    return values.reshape(-1, width).T
+
+
+def _convert_text(chunk: str, width: int, wide: bool) -> Optional[np.ndarray]:
+    """`_convert` by `str.split` and `int`, for any block.  The table is
+    int64 unless `wide` (ids may pass the int64 range): then it holds
+    Python ints."""
     counts = list(map(len, map(str.split, chunk.splitlines())))
     if counts.count(width) != len(counts):
         return None
@@ -106,14 +163,18 @@ def _table(chunks: Iterable[str], width: int, wide: bool) -> tuple[np.ndarray, b
         block = _convert(chunk, width, wide)
         if block is None:
             lines = chunk.splitlines(keepends=True)
-            good = next(i for i, line in enumerate(lines) if _convert(line, width, wide) is None)
+            # by str: per line, the numpy passes of a plain block cost more
+            good = next(i for i, line in enumerate(lines) if _convert_text(line, width, wide) is None)
             parts.append(_convert("".join(lines[:good]), width, wide))
             stopped = True
             break
         parts.append(block)
-    if len(parts) == 1:  # no copy
-        return parts[0], stopped
-    return np.concatenate([_convert("", width, wide), *parts], axis=1), stopped
+    # one field per contiguous row: the blocks are transposed views, and
+    # row-wise checks over a strided table cost several times more
+    table = np.empty((width, sum(part.shape[1] for part in parts)), dtype=object if wide else np.int64)
+    if parts:
+        np.concatenate(parts, axis=1, out=table)
+    return table, stopped
 
 
 def _record_error(

@@ -1,4 +1,6 @@
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,7 +183,9 @@ def test_each_single_record_change_is_rejected_at_its_line(mutation, data):
     assert err.value.line == line
 
 
-# Kinds and sizes whose files span three or more tokenizer blocks.
+# Kinds and sizes whose files span three or more tokenizer blocks of
+# LARGE_BLOCK_CHARS characters.
+LARGE_BLOCK_CHARS = 6_000
 LARGE = [
     (ProblemKind(Family.FAST, 2), 100),
     (ProblemKind(Family.FAST, 3), 26),
@@ -211,6 +215,7 @@ DIFF_MUTATIONS = (
     "token-count", "non-integer", "20-digit", "plus", "underscore",
     "tab", "double-space", "trailing-space", "blank-line",
     "member-range", "member-order", "duplicate", "selected", "dropped", "moved",
+    "18-digit", "19-digit", "leading-zeros", "lone-cr", "vt-ff", "non-ascii",
 )
 
 
@@ -239,12 +244,25 @@ def _mutate(data, lines, kind, n):
         tokens[slot] = data.draw(st.sampled_from(["x", "1.0", "0x1", "1e3", "--1"]))
     elif mutation == "20-digit":
         tokens[slot] = data.draw(st.sampled_from(["12345678901234567890", "-99999999999999999999"]))
+    elif mutation == "18-digit":
+        tokens[slot] = data.draw(st.sampled_from(["123456789012345678", "999999999999999999"]))
+    elif mutation == "19-digit":
+        tokens[slot] = data.draw(
+            st.sampled_from(["9223372036854775807", "9223372036854775808", "1000000000000000000"])
+        )
+    elif mutation == "leading-zeros":
+        # 17 zeros make a one-digit token 18 digits long, 18 make it 19
+        tokens[slot] = "0" * data.draw(st.sampled_from([1, 2, 17, 18]), label="zeros") + tokens[slot]
     elif mutation == "plus":
         tokens[slot] = "+" + tokens[slot]
     elif mutation == "underscore":
         tokens[slot] = "0_" + tokens[slot]
     elif mutation == "tab":
         lines[i] = lines[i].replace(" ", "\t", 1)
+        return
+    elif mutation in ("lone-cr", "vt-ff", "non-ascii"):
+        separator = {"lone-cr": ["\r"], "vt-ff": ["\x0b", "\x0c"], "non-ascii": ["\xa0", "\u2028"]}
+        lines[i] = lines[i].replace(" ", data.draw(st.sampled_from(separator[mutation])), 1)
         return
     elif mutation == "double-space":
         lines[i] = lines[i].replace(" ", "  ", 1)
@@ -282,10 +300,12 @@ def _outcome(read, text):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_parse_agrees_with_the_line_by_line_reader(data):
+    block_chars = fileformat.BLOCK_CHARS
     if data.draw(st.booleans(), label="large"):
         kind, n = data.draw(st.sampled_from(LARGE), label="kind and n")
         inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, 0))
-        assert len(serialize(inst)) > 2 * fileformat.BLOCK_CHARS
+        block_chars = LARGE_BLOCK_CHARS
+        assert len(serialize(inst)) > 2 * block_chars
     else:
         inst = drawn_instance(data)
     lines = serialize(inst).splitlines()
@@ -293,4 +313,42 @@ def test_parse_agrees_with_the_line_by_line_reader(data):
         _mutate(data, lines, inst.kind, inst.n)
     newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
     text = newline.join(lines) + newline * data.draw(st.integers(0, 1), label="final newline")
+    with mock.patch.object(fileformat, "BLOCK_CHARS", block_chars):
+        assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        "0 1 1 0\n1 2\n0 2 2\n",  # the right token total, split wrongly between lines
+        "0 1\n1 2 2 2\n0 2 2\n",
+        "0 1 1\n0 2 2\n1 2 2 1\n",
+        " 0  1 1 \n0 2 2\n1 2 2",  # extra spaces, no final line feed
+        "0 1 1\n\n0 2 2\n1 2 2\n",
+        "0 1 1\n0 2 2\n1 2 2\n\n",
+        "000 001 001\n0 2 2\n1 2 2\n",
+        "0 1 000000000000000001\n0 2 2\n1 2 2\n",  # 18 digits
+        "0 1 0000000000000000001\n0 2 2\n1 2 2\n",  # 19 digits, in range
+        "0 1 9223372036854775807\n0 2 2\n1 2 2\n",
+        "0 1 9223372036854775808\n0 2 2\n1 2 2\n",
+        "0 1 18446744073709551617\n0 2 2\n1 2 2\n",  # 2**64 + 1, which int64 would wrap to 1
+        "0 1 1\n0 2 2\n1 2 99999999999999999999999\n",
+        "0 1 1\n0 2 2\n1 2\x0c2\n",
+    ],
+)
+def test_plain_blocks_agree_with_the_line_by_line_reader(records):
+    text = header_only(n=3) + records
     assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
+def test_files_of_several_full_blocks_read_alike_by_bytes_and_by_str():
+    inst = generate(GeneratorSpec(F2, 190, GenerationMode.UNIFORM, 0))
+    text = serialize(inst)
+    assert len(text) > 2 * fileformat.BLOCK_CHARS
+    assert parse(text) == inst
+    assert parse(text.replace("\n", "\r\n")) == inst  # no block is plain
+    lines = text.splitlines()
+    last = len(lines) - 1
+    for i, record in [(last, "0 1 1"), (last // 2, "1 2 3 4"), (last - 1, lines[1]), (last // 3, "0 1 x")]:
+        changed = "\n".join(lines[:i] + [record] + lines[i + 1 :]) + "\n"
+        assert _outcome(parse, changed) == _outcome(reference.parse, changed)
