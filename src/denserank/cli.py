@@ -85,8 +85,6 @@ def _kernelize(args, inst: Instance, k: int, debug_oracle_checks: bool = False):
         return kernel.kernelize_fast(inst, k, debug_oracle_checks, args.oracle_cap)
     if args.provider == "exact":
         provider = kernel.exact_provider(args.oracle_cap)
-    elif args.provider == "incdegree":
-        provider = kernel.incdegree_provider
     else:
         provider = kernel.local_search_provider
     return kernel.kernelize_characterized(inst, k, provider, debug_oracle_checks, args.oracle_cap)
@@ -303,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="edit budget")
     p.add_argument(
         "--provider",
-        choices=["exact", "incdegree", "localsearch"],
+        choices=["exact", "localsearch"],
         default="exact",
-        help="ranking source for non-FAST families (FAST always uses incdegree)",
+        help="ranking source for betweenness and tfast (FAST always ranks by Inc-Degree)",
     )
     p.add_argument("--debug-oracle-checks", action="store_true")
     p.add_argument("--out", default=None, help="write the kernel instance here")
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--mode", choices=["planted", "uniform"], default="planted")
     p.add_argument("--edits", type=int, default=None, help="planted edits (default k+1)")
-    p.add_argument("--provider", choices=["exact", "incdegree", "localsearch"], default="localsearch")
+    p.add_argument("--provider", choices=["exact", "localsearch"], default="localsearch")
     p.add_argument("--out", default="-", help="CSV path, '-' for stdout")
     add_cap(p)
     p.set_defaults(func=cmd_bench)

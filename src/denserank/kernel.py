@@ -6,6 +6,8 @@ and each contain exactly one violated constraint (the center itself).
 When more than k disjoint petals exist, any solution editing at most k
 constraints must edit the center, and must edit it to agree with the
 current ranking; doing so and decrementing k preserves the answer.
+Centers and batches of petals are counted from one cached mask per
+ranked instance, `OrderedInstance.violated`, with no per-subset lookup.
 
 Two drivers are provided.  `kernelize_characterized` works for the
 families whose single faults certify bounded conflicts (BETWEENNESS,
@@ -34,7 +36,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from math import comb
 from typing import Callable, Iterable, Optional, Union
 
@@ -59,7 +60,6 @@ from .model import (
     SelectedData,
     VertexId,
     edit_wrt,
-    evaluate,
     inconsistent_constraints,
     induced,
     member_orders,
@@ -191,44 +191,42 @@ class SimpleSunflower:
             yield tuple(sorted(self.center.members + extra))
 
 
+def _faults_within(oi: OrderedInstance, groups: list[tuple[VertexId, ...]]) -> np.ndarray:
+    """The violated constraints inside each group of g >= r distinct
+    vertices (one g for all): the fault count of the sub-instance the
+    group induces, since a verdict involves only its own members.  Every
+    r-subset is ranked with `Instance._ranks` and read from `oi.violated`."""
+    inst = oi.instance
+    if not groups:
+        return np.zeros(0, dtype=np.int64)
+    table = np.sort(np.array(groups, dtype=np.int64), axis=1)
+    members = table[:, subsets(table.shape[1], inst.r)]
+    ranks = Instance._ranks(inst.n, inst.r, members.reshape(-1, inst.r).T)
+    return oi.violated[ranks].reshape(members.shape[:2]).sum(axis=1)
+
+
 def _require_violated(oi: OrderedInstance, center: Constraint) -> None:
-    if evaluate(oi.instance.kind, center, oi.sigma):
+    if _faults_within(oi, [center.members])[0] == 0:
         raise PreconditionError(f"center {center.members} is already consistent with the ranking")
 
 
-def _petal_is_single_fault(
-    oi: OrderedInstance, center: Constraint, petal: tuple[VertexId, ...]
-) -> bool:
-    """Exactly one violated constraint inside the petal set, the center.
-
-    Dense instances are local: a constraint's verdict under a ranking
-    only involves its own members, so checking the full instance's
-    constraints restricted to the petal equals checking the induced
-    sub-instance.
-    """
-    kind, sigma = oi.instance.kind, oi.sigma
-    for subset in itertools.combinations(petal, kind.r):
-        if subset == center.members:
-            continue
-        if not evaluate(kind, oi.instance.constraint(subset), sigma):
-            return False
-    return True
+def _single_fault(oi: OrderedInstance, petals: list[tuple[VertexId, ...]]) -> np.ndarray:
+    """Which petals hold exactly one violated constraint.  The callers
+    have checked the center to be violated, so that one is the center."""
+    return _faults_within(oi, petals) == 1
 
 
 def _single_fault_sunflower(
     oi: OrderedInstance,
     center: Constraint,
-    candidates: Iterable[tuple[VertexId, ...]],
+    candidates: list[tuple[VertexId, ...]],
     k: int,
 ) -> Optional[SimpleSunflower]:
     """The candidate extras whose petal is single-fault, as a sunflower;
     None unless more than k of them survive."""
     _require_violated(oi, center)
-    extras = tuple(
-        extra
-        for extra in candidates
-        if _petal_is_single_fault(oi, center, tuple(sorted(center.members + extra)))
-    )
+    single = _single_fault(oi, [center.members + extra for extra in candidates])
+    extras = tuple(extra for extra, ok in zip(candidates, single) if ok)
     return SimpleSunflower(center, extras) if len(extras) > k else None
 
 
@@ -244,7 +242,7 @@ def find_simple_sunflower(
     """
     width = default_conflict_size(oi.instance.kind) - oi.instance.r
     pool = [v for v in oi.sigma.order if v not in center.members]
-    chunks = (tuple(pool[i : i + width]) for i in range(0, len(pool) - width + 1, width))
+    chunks = [tuple(pool[i : i + width]) for i in range(0, len(pool) - width + 1, width)]
     return _single_fault_sunflower(oi, center, chunks, k)
 
 
@@ -264,7 +262,7 @@ def find_fast_sunflower(
     if kind.family is not Family.FAST:
         raise SemanticsError("find_fast_sunflower needs a FAST instance")
     pool = span(center, oi.sigma)[0] if kind.r == 2 else span_minus(center, oi.sigma)
-    candidates = ((v,) for v in pool if v not in center.members)
+    candidates = [(v,) for v in pool if v not in center.members]
     return _single_fault_sunflower(oi, center, candidates, k)
 
 
@@ -343,7 +341,7 @@ def _certified_edit(
     oi: OrderedInstance,
     flower: SimpleSunflower,
     k: int,
-    petal_ok: Callable[[tuple[VertexId, ...]], bool],
+    petals_ok: Callable[[list[tuple[VertexId, ...]]], Iterable[bool]],
 ) -> tuple[Instance, int]:
     """Edit the center to agree with the ranking and decrement k.
 
@@ -357,8 +355,9 @@ def _certified_edit(
             f"certificate has {flower.petal_count} petals, need more than k={k}"
         )
     _require_violated(oi, flower.center)
-    for petal in flower.petals():
-        if not petal_ok(petal):
+    petals = list(flower.petals())
+    for petal, ok in zip(petals, petals_ok(petals)):
+        if not ok:
             raise PreconditionError(f"petal {petal} fails its check; the certificate is stale")
     edited = edit_wrt(oi.instance.kind, flower.center, oi.sigma)
     return oi.instance.replace({flower.center.members: edited}), k - 1
@@ -368,7 +367,7 @@ def apply_sunflower_edit(
     oi: OrderedInstance, flower: SimpleSunflower, k: int
 ) -> tuple[Instance, int]:
     """The certified edit, for petals that must be single-fault."""
-    return _certified_edit(oi, flower, k, partial(_petal_is_single_fault, oi, flower.center))
+    return _certified_edit(oi, flower, k, functools.partial(_single_fault, oi))
 
 
 def _apply_packing_edit(
@@ -382,12 +381,13 @@ def _apply_packing_edit(
     """
     tournament = _pair_tournament(oi.instance).tolist()
 
-    def closes_cycle(petal: tuple[VertexId, ...]) -> bool:
-        return any(
-            _cyclic_triple(tournament, a, b, c) for a, b, c in itertools.combinations(petal, 3)
-        )
+    def close_cycles(petals: list[tuple[VertexId, ...]]) -> list[bool]:
+        return [
+            any(_cyclic_triple(tournament, *triple) for triple in itertools.combinations(petal, 3))
+            for petal in petals
+        ]
 
-    return _certified_edit(oi, packing, k, closes_cycle)
+    return _certified_edit(oi, packing, k, close_cycles)
 
 
 def always_selected_vertex(inst: Instance) -> Optional[VertexId]:

@@ -323,6 +323,13 @@ class OrderedInstance:
                 f"ranking covers {self.sigma.n} vertices, instance has {self.instance.n}"
             )
 
+    @functools.cached_property
+    def violated(self) -> np.ndarray:
+        """Read-only mask of the violated constraints: one batch verdict, on first read."""
+        mask = ~batch_verdict(self.instance)(np.array([self.sigma.position], dtype=np.int64))[0]
+        mask.flags.writeable = False
+        return mask
+
 
 def satisfied_selected(
     kind: ProblemKind, members: tuple[VertexId, ...], ranking: Ranking
@@ -452,22 +459,17 @@ def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:
     return satisfied_selected(kind, c.members, ranking) == c.selected
 
 
-def _violated(oi: OrderedInstance) -> np.ndarray:
-    """Mask of the constraints the ranking violates, lexicographic by members."""
-    return ~batch_verdict(oi.instance)(np.array([oi.sigma.position], dtype=np.int64))[0]
-
-
 def inconsistent_constraints(oi: OrderedInstance) -> list[Constraint]:
     """Constraints the ranking violates, lexicographic by members."""
     inst = oi.instance
-    bad = np.flatnonzero(_violated(oi))
+    bad = np.flatnonzero(oi.violated)
     members = map(tuple, subsets(inst.n, inst.r)[bad].tolist())
     rows = inst.selected[bad].tolist()
     return [constraint_from_row(inst.kind, m, row) for m, row in zip(members, rows)]
 
 
 def fault_count(oi: OrderedInstance) -> int:
-    return int(_violated(oi).sum())
+    return int(oi.violated.sum())
 
 
 def span(c: Constraint, ranking: Ranking) -> tuple[tuple[VertexId, ...], bool]:

@@ -15,6 +15,13 @@ when it recounted every constraint's verdict for each trial swap, kept
 verbatim as the reference for the differential local-search test.  It
 shares only the batch verdict with the package.
 
+`petal_is_single_fault` is the sunflower petal check as it was when it
+looked up each r-subset of the petal with `Instance.constraint` and the
+scalar `evaluate`, before the kernel read one violated mask per ranked
+instance; kept verbatim (bar its leading underscore) as the reference
+for the differential petal test.  It shares only the scalar verdict and
+the constraint lookup with the package.
+
 `min_by_enumeration` is the oracle's engine for r >= 4 before the
 prefix search replaced it: every ranking scored with the batch verdict,
 in lexicographic blocks of 8! permutations, stopping after the first
@@ -39,12 +46,16 @@ from denserank.errors import (
     UnknownFamilyError,
 )
 from denserank.model import (
+    Constraint,
     Family,
     Instance,
+    OrderedInstance,
     ProblemKind,
     Ranking,
+    VertexId,
     batch_verdict,
     constraint_from_row,
+    evaluate,
     selected_width,
     validate_constraint,
 )
@@ -191,6 +202,25 @@ def local_search_provider(inst: Instance) -> Ranking:
             else:
                 order[i], order[i + 1] = order[i + 1], order[i]
     return Ranking(tuple(order))
+
+
+def petal_is_single_fault(
+    oi: OrderedInstance, center: Constraint, petal: tuple[VertexId, ...]
+) -> bool:
+    """Exactly one violated constraint inside the petal set, the center.
+
+    Dense instances are local: a constraint's verdict under a ranking
+    only involves its own members, so checking the full instance's
+    constraints restricted to the petal equals checking the induced
+    sub-instance.
+    """
+    kind, sigma = oi.instance.kind, oi.sigma
+    for subset in itertools.combinations(petal, kind.r):
+        if subset == center.members:
+            continue
+        if not evaluate(kind, oi.instance.constraint(subset), sigma):
+            return False
+    return True
 
 
 _BLOCK = 40320  # 8!, so instances up to n = 8 fit in a single block

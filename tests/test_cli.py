@@ -221,6 +221,17 @@ class TestKernelize:
             main(["kernelize", path])
         assert exc.value.code == 2
 
+    def test_incdegree_is_no_provider(self, capsys, tmp_path):
+        # Inc-Degree ranks FAST only, and FAST ignores --provider
+        path = gen_file(capsys, tmp_path, "b.rcsp", "--family", "betweenness", "--n", "6")
+        for argv in (
+            ("kernelize", path, "--k", "1"),
+            ("bench", "--family", "betweenness", "--n-list", "6", "--k-list", "1"),
+        ):
+            code, out, err = _outcome(capsys, (*argv, "--provider", "incdegree"))
+            assert (code, out) == (2, "")
+            assert "invalid choice: 'incdegree'" in err
+
     # Sizes where both drop rules, sunflower edits and (fast_r2_n16) a
     # conflict-packing edit fire, and two r = 4 local-search runs (the
     # tfast one fires sunflower edits); the expected stdout, kernel file

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from math import comb
@@ -7,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 from conftest import consistent_instance
-from denserank import kernel, oracle
+from denserank import kernel, model, oracle
 from denserank.approx import DegreeProfile, inc_degree_ranking
 from denserank.characterize import violating_selected_values
-from denserank.generate import GenerationMode, GeneratorSpec, generate
+from denserank.generate import GenerationMode, GeneratorSpec, generate, generate_with_details
 from denserank.errors import (
     KernelDriverError,
     PreconditionError,
@@ -49,6 +50,9 @@ from denserank.model import (
     Ranking,
     all_selected_values,
     fault_count,
+    inconsistent_constraints,
+    span,
+    span_minus,
 )
 
 EDIT_LINE = re.compile(
@@ -241,6 +245,101 @@ class TestApplySunflowerEdit:
         stale = inst.replace({(1, 2, 3): Constraint((1, 2, 3), bad)})
         with pytest.raises(PreconditionError):
             apply_sunflower_edit(OrderedInstance(stale, Ranking.identity(8)), flower, 1)
+
+
+def petal_candidates(oi, center):
+    """The extras a finder draws for `center`, in its order (the
+    certified-width chunks, or FAST's single vertices from the span)."""
+    kind, sigma = oi.instance.kind, oi.sigma
+    if kind.family is Family.FAST:
+        pool = span(center, sigma)[0] if kind.r == 2 else span_minus(center, sigma)
+        return tuple((v,) for v in pool if v not in center.members)
+    width = default_conflict_size(kind) - kind.r
+    pool = [v for v in sigma.order if v not in center.members]
+    return tuple(tuple(pool[i : i + width]) for i in range(0, len(pool) - width + 1, width))
+
+
+# Drawn rankings leave most petals holding other faults; the planted
+# base ranking (`base=True` on planted instances) leaves most of them
+# single-fault.  The pinned examples are the largest betweenness r = 4
+# cases, two chunks of width 4 per center, with one and three faults.
+@pytest.mark.parametrize("kind", LOCAL_SEARCH_KINDS, ids=lambda k: f"{k.family.value}{k.r}")
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    data=st.data(),
+    n=st.integers(2, 12),
+    planted=st.booleans(),
+    base=st.booleans(),
+    edits=st.integers(1, 8),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(data=st.data(), n=12, planted=True, base=True, edits=1, seed=3)
+@example(data=st.data(), n=12, planted=True, base=True, edits=3, seed=7)
+def test_petal_checks_agree_with_the_per_subset_reference(
+    kind, data, n, planted, base, edits, seed
+):
+    """For every violated center the finder keeps exactly the candidate
+    extras whose petal the reference accepts, and the certified edit of
+    all candidates raises exactly when the reference rejects one."""
+    n = max(n, kind.r)
+    if planted:
+        spec = GeneratorSpec(kind, n, GenerationMode.PLANTED, seed, min(edits, comb(n, kind.r)))
+    else:
+        spec = GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed)
+    inst, planted_sigma, _ = generate_with_details(spec)
+    if planted and base:
+        sigma = planted_sigma
+    else:
+        sigma = Ranking(tuple(data.draw(st.permutations(range(n)))))
+    oi = OrderedInstance(inst, sigma)
+    find = find_fast_sunflower if kind.family is Family.FAST else find_simple_sunflower
+    for center in inconsistent_constraints(oi):
+        candidates = petal_candidates(oi, center)
+        accepted = tuple(
+            extra
+            for extra in candidates
+            if reference.petal_is_single_fault(oi, center, tuple(sorted(center.members + extra)))
+        )
+        assert find(oi, center, len(accepted) - 1).extras == accepted
+        assert find(oi, center, len(accepted)) is None
+        if not candidates:
+            continue
+        flower = SimpleSunflower(center, candidates)
+        if accepted != candidates:
+            with pytest.raises(PreconditionError, match="certificate is stale"):
+                apply_sunflower_edit(oi, flower, 0)
+        else:
+            edited, k = apply_sunflower_edit(oi, flower, 0)
+            assert k == -1
+            assert fault_count(OrderedInstance(edited, sigma)) == fault_count(oi) - 1
+
+
+@pytest.mark.parametrize(
+    "inst,center,find",
+    [
+        (broken_at(B3, 8, (0, 1, 2)), (0, 1, 2), find_simple_sunflower),
+        (broken_at(F3, 6, (0, 1, 5)), (0, 1, 5), find_fast_sunflower),
+    ],
+)
+def test_violated_mask_is_read_only_and_built_once(monkeypatch, inst, center, find):
+    built = []
+    batch_verdict = model.batch_verdict
+
+    def counted(inst):
+        built.append(inst)
+        return batch_verdict(inst)
+
+    monkeypatch.setattr(model, "batch_verdict", counted)
+    oi = OrderedInstance(inst, Ranking.identity(inst.n))
+    flower = find(oi, inst.constraint(center), 1)
+    apply_sunflower_edit(oi, flower, 1)
+    assert fault_count(oi) == 1
+    assert len(built) == 1
+    with pytest.raises(ValueError):
+        oi.violated[0] = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        oi.violated = ~oi.violated
+    assert fault_count(oi) == 1 and len(built) == 1
 
 
 class TestVertexDrops:
@@ -449,6 +548,32 @@ class TestCharacterizedDriver:
         inst = planted(Family.BETWEENNESS, 3, 8, 3, 2)
         with pytest.raises(KernelDriverError, match="clear exactly its own fault"):
             kernelize_characterized(inst, 1, exact_provider())
+
+    # n = 21 exceeds p*w + w*(k+1) + r = 20 at p = 2, k = 1, w = r = 4, so
+    # width-4 petals (8-vertex petal sets) must fire; traces frozen from
+    # the per-subset petal check.
+    @pytest.mark.parametrize(
+        "seed,trace",
+        [
+            (
+                0,
+                "rule=sunflower-edit center=5,8,12,20 selected=8,20->5,20 k=1->0 petals=4\n"
+                "rule=sunflower-edit center=6,11,14,20 selected=6,11->6,20 k=0->-1 petals=4",
+            ),
+            (
+                1,
+                "rule=sunflower-edit center=0,2,3,7 selected=0,2->2,7 k=1->0 petals=4\n"
+                "rule=sunflower-edit center=1,10,16,19 selected=1,16->1,19 k=0->-1 petals=4",
+            ),
+        ],
+    )
+    def test_width_r_petals_fire_on_betweenness_r4(self, seed, trace):
+        spec = GeneratorSpec(B4, 21, GenerationMode.PLANTED, seed, 2)
+        inst, base, _ = generate_with_details(spec)
+        out = kernelize_characterized(inst, 1, lambda _: base)
+        assert out.trace_text() == trace
+        assert out.verdict is Verdict.TRIVIAL_NO
+        assert oracle.decide(*out.materialize(), cap=21) == oracle.decide(inst, 1, cap=21)
 
     def test_fast_is_not_served(self):
         with pytest.raises(SemanticsError):
