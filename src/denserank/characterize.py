@@ -41,7 +41,9 @@ from .model import (
     evaluate,
     inconsistent_constraints,
     nth_combination,
+    satisfied_data,
     satisfied_selected,
+    subsets,
 )
 from .rng import SplitMix64
 
@@ -82,10 +84,7 @@ def single_fault_config(
     """Identity-ordered instance on `size` vertices where every
     constraint is satisfied except the one given."""
     identity = Ranking.identity(size)
-    satisfied = [
-        satisfied_selected(kind, subset, identity)
-        for subset in itertools.combinations(range(size), kind.r)
-    ]
+    satisfied = satisfied_data(kind, subsets(size, kind.r), identity.position)
     fault = Constraint(tuple(sorted(fault_members)), fault_selected)
     inst = Instance._from_table(size, kind, satisfied).replace({fault.members: fault})
     return SingleFaultConfig(OrderedInstance(inst, identity), fault)

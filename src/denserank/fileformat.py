@@ -8,18 +8,20 @@ betweenness, a permutation of the members for tfast).  A file holds
 exactly one record per r-subset; writers emit them in lexicographic
 member order, readers accept any order.
 
-`parse` reads the records a block of lines at a time into one int64
-table with one row per field.  A block in the form `serialize` writes,
+`parse` reads the records a block of lines at a time into int64 tables
+with one row per field.  A block in the form `serialize` writes,
 only ASCII digits, spaces and line feeds, is tokenized on its bytes with
 numpy: tokens are the runs of digits, each line must hold exactly as
 many as a record has fields, and values are built digit by digit.  Any
 other block (tabs, carriage returns or other line breaks, signs, `_`,
 non-ASCII characters, tokens of 19 or more digits, ids past the int64
 range) is split and converted as `str`, so it is read as before and
-fails as before.  `parse` then runs each check over the whole table
-at once: member range, strictly increasing members and valid selected
-data, then lexicographic subset ranks, which place each record and show
-whether any subset is duplicated or missing.  When a check fails, the
+fails as before.  `parse` runs each check over a whole block at once:
+member range, strictly increasing members and valid selected data, then
+lexicographic subset ranks, which place each record and show whether
+any subset is duplicated or missing.  Blocks are placed as they are
+read, so a valid file is never held as one table of all its records.
+When a check fails, the file is read again into one table, and the
 first failing line wins: a stable sort of the ranks tells each duplicate
 from the record it repeats, and the per-record checks run again on that
 one line, in the order a line is checked: token count, integer tokens,
@@ -177,6 +179,38 @@ def _table(chunks: Iterable[str], width: int, wide: bool) -> tuple[np.ndarray, b
     return table, stopped
 
 
+def _valid(kind: ProblemKind, n: int, block: np.ndarray) -> np.ndarray:
+    """Which columns of a (width, lines) record table are valid records."""
+    members, selected = block[: kind.r], block[kind.r :]
+    return ((members >= 0) & (members < n)).all(axis=0) & batch_valid(kind, members, selected)
+
+
+def _placed(chunks: Iterable[str], kind: ProblemKind, n: int, width: int) -> Optional[np.ndarray]:
+    """The (C(n, r), width - r) selected table in subset order, when the
+    record lines of `chunks` hold each r-subset exactly once in valid
+    records; else None.  Each block is checked and placed as it is
+    converted, so no table of every record is held."""
+    r = kind.r
+    total = comb(n, r)
+    placed = np.empty((total, width - r), dtype=np.int64)
+    seen = np.zeros(total, dtype=bool)
+    records = 0
+    for chunk in chunks:
+        block = _convert(chunk, width, wide=False)
+        if block is None:
+            return None
+        block = np.ascontiguousarray(block)  # row-wise checks on a strided block cost more
+        if not _valid(kind, n, block).all():
+            return None
+        ranks = Instance._ranks(n, r, block[:r])
+        seen[ranks] = True
+        for column, values in zip(placed.T, block[r:]):
+            np.put(column, ranks, values)  # unlike `column[ranks] = values`, buffers nothing
+        records += block.shape[1]
+    # C(n, r) records that cover every subset hold each exactly once
+    return placed if records == total and seen.all() else None
+
+
 def _record_error(
     kind: ProblemKind, n: int, raw: str, lineno: int, earlier: np.ndarray
 ) -> Optional[ParseError]:
@@ -255,21 +289,15 @@ def parse(text: str) -> Instance:
         raise HeaderError(f"family {head[2]} does not admit arity {r}", 1) from None
 
     width = r + selected_width(kind)
-    chunks = _chunks(text, len(lines[0]))
-    table, stopped = _table(chunks, width, wide=n > np.iinfo(np.int64).max)
-    members, selected = table[:r], table[r:]
-    valid = ((members >= 0) & (members < n)).all(axis=0) & batch_valid(kind, members, selected)
-    records = table.shape[1]
-    if not stopped and valid.all() and records == comb(n, r):
-        ranks = Instance._ranks(n, r, members)
-        seen = np.zeros(records, dtype=bool)
-        seen[ranks] = True
-        if seen.all():  # every subset exactly once
-            placed_rows = np.empty((records, len(selected)), dtype=np.int64)
-            for column, values in zip(placed_rows.T, selected):
-                np.put(column, ranks, values)  # unlike `column[ranks] = values`, buffers nothing
-            return Instance._from_table(n, kind, placed_rows)
-    raise _rejection(text, kind, n, members, valid, stopped)
+    start = len(lines[0])
+    # a record is at least one digit and one separator per field, the
+    # last line's end aside, so a shorter text cannot hold every subset
+    if 2 * width * comb(n, r) - 1 <= len(text) - start:
+        selected = _placed(_chunks(text, start), kind, n, width)
+        if selected is not None:
+            return Instance._from_table(n, kind, selected)
+    table, stopped = _table(_chunks(text, start), width, wide=n > np.iinfo(np.int64).max)
+    raise _rejection(text, kind, n, table[:r], _valid(kind, n, table), stopped)
 
 
 def load(path: str) -> Instance:

@@ -206,7 +206,7 @@ def _faults_within(oi: OrderedInstance, groups: list[tuple[VertexId, ...]]) -> n
 
 
 def _require_violated(oi: OrderedInstance, center: Constraint) -> None:
-    if _faults_within(oi, [center.members])[0] == 0:
+    if not oi.violated[oi.instance._row(center.members)[1]]:
         raise PreconditionError(f"center {center.members} is already consistent with the ranking")
 
 

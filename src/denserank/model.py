@@ -19,11 +19,12 @@ with the selected-data rule written here as a scalar
 lexicographic subset rank (`Instance._row`, batch `Instance._ranks`).
 
 Each family's verdict is written here once per form and nowhere else:
-`satisfied_selected` (scalar: the selected datum a ranking satisfies on
-a member tuple) and `batch_verdict` (numpy: ranking positions to a
-satisfied mask; `member_verdict` runs the same rule on each constraint's
-own member positions, and `order_violations` tabulates it over every
-member order).  Everything that judges a ranking is built on these.
+`satisfied_data` (numpy: the selected data a ranking satisfies on a
+table of member rows; `satisfied_selected` is its one-row call) and
+`batch_verdict` (numpy: ranking positions to a satisfied mask;
+`member_verdict` runs the same rule on each constraint's own member
+positions, and `order_violations` tabulates it over every member
+order).  Everything that judges a ranking is built on these.
 """
 
 from __future__ import annotations
@@ -186,13 +187,45 @@ def selected_width(kind: ProblemKind) -> int:
     return kind.r
 
 
+# r -> (n, subsets(n, r)) for the largest n built so far
+_LARGEST_SUBSETS: dict[int, tuple[int, np.ndarray]] = {}
+
+
 @functools.lru_cache(maxsize=8)
 def subsets(n: int, r: int) -> np.ndarray:
-    """Members of every r-subset of 0..n-1, one row each, lexicographic (read-only)."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
-    table = np.fromiter(flat, dtype=np.int64, count=comb(n, r) * r).reshape(-1, r)
+    """Members of every r-subset of 0..n-1, one row each, lexicographic (read-only).
+
+    A table for a smaller n is filtered from the largest one built for
+    the same r: the rows whose members all lie below n are exactly the
+    smaller table, and filtering keeps their lexicographic order.
+    """
+    largest_n, largest = _LARGEST_SUBSETS.get(r, (-1, None))
+    if n <= largest_n:
+        table = largest[largest[:, -1] < n]
+    else:
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+        table = np.fromiter(flat, dtype=np.int64, count=comb(n, r) * r).reshape(-1, r)
+        _LARGEST_SUBSETS[r] = (n, table)
     table.flags.writeable = False
     return table
+
+
+def _rank_terms(n: int, r: int, ids) -> np.ndarray:
+    """The (r, len(ids)) table of the terms comb(n - 1 - v, r - i) of
+    `Instance._ranks` over `ids`; int64 when C(n, r) fits in it, else
+    Python ints.  Slot i of a valid subset holds v >= i; below that the
+    term is never used and could outgrow C(n, r), so it is tabled as 0."""
+    dtype = np.int64 if comb(n, r) <= np.iinfo(np.int64).max else object
+    rows = [[comb(n - 1 - v, r - i) if v >= i else 0 for v in ids] for i in range(r)]
+    return np.array(rows, dtype=dtype)
+
+
+@functools.lru_cache(maxsize=8)
+def _dense_rank_terms(n: int, r: int) -> np.ndarray:
+    """`_rank_terms` over every id 0..n-1 (read-only)."""
+    terms = _rank_terms(n, r, range(n))
+    terms.flags.writeable = False
+    return terms
 
 
 def constraint_from_row(kind: ProblemKind, members: tuple[VertexId, ...], row: list) -> Constraint:
@@ -265,21 +298,16 @@ class Instance:
         """Batch form of `_row`'s rank: the (C,) lexicographic ranks of the
         columns of `members`, (r, C) with strictly increasing ids in 0..n-1
         down each column.  int64 when C(n, r) fits in it, else Python ints."""
-        total = comb(n, r)
-        dtype = np.int64 if total <= np.iinfo(np.int64).max else object
-        # the terms comb(n - 1 - v, r - i) are tabled over the ids 0..n-1,
-        # or over the ids that occur when there are fewer cells than ids.
-        # Slot i of a valid subset holds v >= i; below that the term is
-        # never used and could outgrow C(n, r), so it is tabled as 0.
+        # the terms are tabled over the ids 0..n-1 (once per n and r), or
+        # over the ids that occur when there are fewer cells than ids
         if n <= members.size:
-            ids, slots = range(n), members
+            terms, slots = _dense_rank_terms(n, r), members
         else:
             ids, slots = np.unique(members, return_inverse=True)
-            ids, slots = ids.tolist(), slots.reshape(members.shape)
-        ranks = np.full(members.shape[1], total - 1, dtype=dtype)
+            terms, slots = _rank_terms(n, r, ids.tolist()), slots.reshape(members.shape)
+        ranks = np.full(members.shape[1], comb(n, r) - 1, dtype=terms.dtype)
         for i in range(r):
-            terms = [comb(n - 1 - v, r - i) if v >= i else 0 for v in ids]
-            ranks -= np.array(terms, dtype=dtype)[slots[i]]
+            ranks -= terms[i][slots[i]]
         return ranks
 
     def constraint(self, members: Iterable[VertexId]) -> Constraint:
@@ -331,23 +359,33 @@ class OrderedInstance:
         return mask
 
 
+def satisfied_data(kind: ProblemKind, members: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """The selected data that a ranking satisfies, one row per member row.
+
+    `members` is a (C, r) table of distinct vertex ids per row and
+    `position` the ranking's position vector (position[v] is the
+    position of vertex v).  Returns the (C, width) int64 table, one row
+    per constraint: for FAST the last-ranked member; for BETWEENNESS the
+    first- and last-ranked members as an increasing pair; for
+    TRANSITIVE_FAST the members in ranking order.
+    """
+    members = np.asarray(members, dtype=np.int64)
+    order = np.argsort(np.asarray(position, dtype=np.int64)[members], axis=1)
+    by_rank = np.take_along_axis(members, order, axis=1)
+    if kind.family is Family.FAST:
+        return by_rank[:, -1:].copy()
+    if kind.family is Family.BETWEENNESS:
+        return np.sort(by_rank[:, [0, -1]], axis=1)
+    return by_rank
+
+
 def satisfied_selected(
     kind: ProblemKind, members: tuple[VertexId, ...], ranking: Ranking
 ) -> SelectedData:
-    """The one selected datum on `members` that `ranking` satisfies.
-
-    FAST: the last-ranked member.  BETWEENNESS: the first- and
-    last-ranked members as an increasing pair.  TRANSITIVE_FAST: the
-    members in ranking order.
-    """
-    key = ranking.position.__getitem__
-    if kind.family is Family.FAST:
-        return max(members, key=key)
-    if kind.family is Family.BETWEENNESS:
-        lo = min(members, key=key)
-        hi = max(members, key=key)
-        return (lo, hi) if lo < hi else (hi, lo)
-    return tuple(sorted(members, key=key))
+    """The one selected datum on `members` that `ranking` satisfies
+    (`satisfied_data` on one row)."""
+    row = satisfied_data(kind, [members], ranking.position)[0].tolist()
+    return constraint_from_row(kind, members, row).selected
 
 
 def _verdict(family: Family, members: np.ndarray, columns: np.ndarray):

@@ -28,6 +28,15 @@ in lexicographic blocks of 8! permutations, stopping after the first
 block that holds a consistent ranking.  It is kept verbatim, without
 the vertex cap, as the reference for the differential oracle tests.  It
 shares only the batch verdict with the package.
+
+`generate_with_details` is the instance generator as it was when it
+drew each value from a list of a constraint's selected data and built
+the planted base table one r-subset at a time with the scalar
+`satisfied_selected`; it is kept verbatim, with the scalar helpers it
+called, as the reference for the differential generator tests, which
+pin the draw order.  It shares only the random stream, the spec type
+and the instance constructor with the package.  Listing every value
+makes `tfast` cost r! per constraint: keep r at 6 or below.
 """
 
 import itertools
@@ -52,6 +61,7 @@ from denserank.model import (
     OrderedInstance,
     ProblemKind,
     Ranking,
+    SelectedData,
     VertexId,
     batch_verdict,
     constraint_from_row,
@@ -59,7 +69,9 @@ from denserank.model import (
     selected_width,
     validate_constraint,
 )
+from denserank.generate import GenerationMode, GeneratorSpec
 from denserank.oracle import ExactResult
+from denserank.rng import SplitMix64
 
 
 def _satisfied(family, members, selected, pos):
@@ -268,3 +280,68 @@ def min_by_enumeration(inst: Instance) -> ExactResult:
             if best == 0:
                 break
     return ExactResult(best, Ranking(best_order), "enumeration", scored)
+
+
+def all_selected_values(kind: ProblemKind, members: tuple[VertexId, ...]) -> list[SelectedData]:
+    """Every selected datum a constraint on `members` could carry, in a
+    fixed canonical order (ascending / lexicographic)."""
+    if kind.family is Family.FAST:
+        return list(members)
+    if kind.family is Family.BETWEENNESS:
+        return list(itertools.combinations(members, 2))
+    return list(itertools.permutations(members))
+
+
+def satisfied_selected(
+    kind: ProblemKind, members: tuple[VertexId, ...], ranking: Ranking
+) -> SelectedData:
+    """The one selected datum on `members` that `ranking` satisfies.
+
+    FAST: the last-ranked member.  BETWEENNESS: the first- and
+    last-ranked members as an increasing pair.  TRANSITIVE_FAST: the
+    members in ranking order.
+    """
+    key = ranking.position.__getitem__
+    if kind.family is Family.FAST:
+        return max(members, key=key)
+    if kind.family is Family.BETWEENNESS:
+        lo = min(members, key=key)
+        hi = max(members, key=key)
+        return (lo, hi) if lo < hi else (hi, lo)
+    return tuple(sorted(members, key=key))
+
+
+def violating_selected_values(
+    kind: ProblemKind, members: tuple[VertexId, ...], sigma: Ranking
+) -> list[SelectedData]:
+    """All selected data for `members` that `sigma` does not satisfy,
+    in canonical order."""
+    satisfied = satisfied_selected(kind, members, sigma)
+    return [v for v in all_selected_values(kind, members) if v != satisfied]
+
+
+def generate_with_details(
+    spec: GeneratorSpec,
+) -> tuple[Instance, Ranking | None, tuple[tuple[int, ...], ...]]:
+    """Generate plus the planted base ranking and re-edited subsets.
+
+    For UNIFORM the extras are None and an empty tuple.
+    """
+    rng = SplitMix64(spec.seed)
+    kind, n = spec.kind, spec.n
+
+    all_subsets = list(itertools.combinations(range(n), kind.r))
+    if spec.mode is GenerationMode.UNIFORM:
+        selected = []
+        for subset in all_subsets:
+            values = all_selected_values(kind, subset)
+            selected.append(values[rng.below(len(values))])
+        return Instance._from_table(n, kind, selected), None, ()
+
+    base = Ranking(tuple(rng.permutation(n)))
+    selected = [satisfied_selected(kind, subset, base) for subset in all_subsets]
+    indices = rng.sample_indices(spec.edits, len(all_subsets))
+    for idx in indices:
+        values = violating_selected_values(kind, all_subsets[idx], base)
+        selected[idx] = values[rng.below(len(values))]
+    return Instance._from_table(n, kind, selected), base, tuple(all_subsets[idx] for idx in indices)

@@ -9,6 +9,7 @@ from denserank.characterize import (
     SingleFaultConfig,
     betweenness_single_fault_conflict,
     classify_compatibility,
+    default_conflict_size,
     enumerate_single_fault_configs,
     fast_single_fault_conflict,
     first_block_witness,
@@ -153,6 +154,15 @@ class TestCharacterizationSweeps:
         report = verify_simple_characterization(T3, 4)
         assert report.exhaustive
         assert report.checked == 4 * 5
+        assert report.counterexamples == ()
+
+    @pytest.mark.parametrize("r,configs", [(4, 5 * 23), (5, 6 * 119)])
+    def test_tfast_is_conflict_at_size_r_plus_1_exhaustively(self, r, configs):
+        # the certified conflict size the characterized kernel's edits rest on
+        kind = ProblemKind(Family.TRANSITIVE_FAST, r)
+        report = verify_simple_characterization(kind, default_conflict_size(kind))
+        assert report.exhaustive
+        assert report.checked == configs
         assert report.counterexamples == ()
 
     def test_betweenness_r3_size_4_has_no_counterexamples(self):

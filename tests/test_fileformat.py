@@ -1,4 +1,5 @@
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -352,3 +353,20 @@ def test_files_of_several_full_blocks_read_alike_by_bytes_and_by_str():
     for i, record in [(last, "0 1 1"), (last // 2, "1 2 3 4"), (last - 1, lines[1]), (last // 3, "0 1 x")]:
         changed = "\n".join(lines[:i] + [record] + lines[i + 1 :]) + "\n"
         assert _outcome(parse, changed) == _outcome(reference.parse, changed)
+
+
+def test_a_valid_file_is_placed_block_by_block():
+    # each block is checked and placed as it is read, so parsing never
+    # holds one int64 table of every record (4 fields x 82,160 records)
+    kind = ProblemKind(Family.FAST, 3)
+    inst = generate(GeneratorSpec(kind, 80, GenerationMode.PLANTED, 0, edits=5))
+    text = serialize(inst)
+    whole_table = 4 * inst.constraint_count() * 8
+    tracemalloc.start()
+    try:
+        parsed = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == inst
+    assert peak < whole_table

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from conftest import FORMAT_KINDS, consistent_instance
+from denserank import model
 from denserank.errors import DensityError, EmptyInstanceError, InvalidConstraintError
 from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.model import (
@@ -27,6 +28,7 @@ from denserank.model import (
     induced,
     member_verdict,
     nth_combination,
+    satisfied_data,
     selected_width,
     span,
     span_minus,
@@ -188,6 +190,10 @@ def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
     for c in inst.constraints():
         assert evaluate(kind, edit_wrt(kind, c, sigma), sigma)
 
+    scalar = [reference.satisfied_selected(kind, c.members, sigma) for c in inst.constraints()]
+    table = satisfied_data(kind, subsets(n, kind.r), sigma.position)
+    assert np.array_equal(table, Instance._from_table(n, kind, scalar).selected)
+
 
 @settings(derandomize=True, deadline=None)
 @given(kind=st.sampled_from(FORMAT_KINDS), data=st.data())
@@ -324,6 +330,19 @@ class TestCombinatorics:
         ranks = Instance._ranks(n, r, subsets(n, r).T)
         assert ranks.dtype == np.int64
         assert ranks.tolist() == list(range(math.comb(n, r)))
+
+    @pytest.mark.parametrize("largest_first", [True, False])
+    def test_subsets_tables_match_combinations_in_any_build_order(self, largest_first):
+        # a table for a smaller n is filtered from the largest one built
+        model._LARGEST_SUBSETS.clear()
+        subsets.cache_clear()
+        sizes = sorted(range(13), reverse=largest_first)
+        for n in sizes:
+            for r in range(1, 13):
+                table = subsets(n, r)
+                assert table.shape == (math.comb(n, r), r) and table.dtype == np.int64
+                assert not table.flags.writeable
+                assert list(map(tuple, table.tolist())) == list(itertools.combinations(range(n), r))
 
     def test_nth_combination_bounds(self):
         with pytest.raises(IndexError):
