@@ -24,8 +24,8 @@ from .model import (
     Instance,
     OrderedInstance,
     Ranking,
-    batch_verdict,
     fault_count,
+    satisfied_data,
     subsets,
 )
 
@@ -84,8 +84,8 @@ def csp_distance(inst: Instance, rho: Ranking, gamma: Ranking) -> int:
     _require_fast(inst)
     if rho.n != inst.n or gamma.n != inst.n:
         raise SemanticsError("rankings must cover the instance's vertex set")
-    ok = batch_verdict(inst)(np.array([rho.position, gamma.position], dtype=np.int64))
-    return int((ok[0] != ok[1]).sum())
+    rho_violated = OrderedInstance(inst, rho).violated
+    return int((rho_violated != OrderedInstance(inst, gamma).violated).sum())
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def degree_gap_slack(inst: Instance, rho: Ranking) -> DegreeGapReport:
     _require_fast(inst)
     n = inst.n
     # the last-ranked member of every constraint against its selected one
-    last = np.array(rho.order)[np.array(rho.position)[subsets(n, inst.r)].max(axis=1)]
+    last = satisfied_data(inst.kind, subsets(n, inst.r), rho.position)[:, 0]
     selected = inst.selected[:, 0]
     ok = last == selected
     late_sel = np.bincount(last[ok], minlength=n).tolist()

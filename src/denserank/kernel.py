@@ -118,7 +118,8 @@ def local_search_provider(inst: Instance) -> Ranking:
     constraint keeps the index of its members' current order in
     `model.member_orders(r)` (0 at the identity start), an adjacent swap
     transposes two member slots, and the fault delta is summed from a
-    per-order table built once from `model.order_violations`.
+    per-order table built once from `model.order_violations`, the
+    family's one rule over every member order.
     """
     n, r = inst.n, inst.r
     turn = _slot_turns(r)

@@ -18,13 +18,14 @@ with the selected-data rule written here as a scalar
 (`validate_constraint`) and a batch (`batch_valid`), next to the
 lexicographic subset rank (`Instance._row`, batch `Instance._ranks`).
 
-Each family's verdict is written here once per form and nowhere else:
-`satisfied_data` (numpy: the selected data a ranking satisfies on a
-table of member rows; `satisfied_selected` is its one-row call) and
-`batch_verdict` (numpy: ranking positions to a satisfied mask;
-`member_verdict` runs the same rule on each constraint's own member
-positions, and `order_violations` tabulates it over every member
-order).  Everything that judges a ranking is built on these.
+Each family's rule is written here once and nowhere else:
+`_ranked_datum`, the selected datum that members in ranking order
+satisfy.  `satisfied_data` applies it to a table of member rows under
+one ranking (`satisfied_selected` is its one-row call), and
+`order_violations` to every member order of every constraint.  A
+constraint is violated exactly when its selected datum differs from the
+satisfied one: `OrderedInstance.violated` compares the two tables row by
+row, and everything that judges a ranking reads one of these.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from math import comb, factorial
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -353,10 +354,32 @@ class OrderedInstance:
 
     @functools.cached_property
     def violated(self) -> np.ndarray:
-        """Read-only mask of the violated constraints: one batch verdict, on first read."""
-        mask = ~batch_verdict(self.instance)(np.array([self.sigma.position], dtype=np.int64))[0]
+        """Read-only mask of the violated constraints, built on first read:
+        the rows of `selected` that differ from the data the ranking
+        satisfies."""
+        inst = self.instance
+        satisfied = satisfied_data(inst.kind, subsets(inst.n, inst.r), self.sigma.position)
+        mask = (satisfied != inst.selected).any(axis=1)
         mask.flags.writeable = False
         return mask
+
+
+def _ranked_datum(kind: ProblemKind, ranked: np.ndarray) -> np.ndarray:
+    """The selected datum that members in ranking order satisfy.
+
+    `ranked` (..., m) lists members first-ranked first.  Returns the
+    (..., width) data: for FAST the last-ranked member; for BETWEENNESS
+    the first- and last-ranked members as an increasing pair; for
+    TRANSITIVE_FAST the members in ranking order.  FAST reads only the
+    last column and BETWEENNESS only the first and last, so `ranked` may
+    hold just those.
+    """
+    if kind.family is Family.FAST:
+        return ranked[..., -1:]
+    if kind.family is Family.BETWEENNESS:
+        first, last = ranked[..., 0], ranked[..., -1]
+        return np.stack((np.minimum(first, last), np.maximum(first, last)), axis=-1)
+    return ranked
 
 
 def satisfied_data(kind: ProblemKind, members: np.ndarray, position: np.ndarray) -> np.ndarray:
@@ -364,19 +387,21 @@ def satisfied_data(kind: ProblemKind, members: np.ndarray, position: np.ndarray)
 
     `members` is a (C, r) table of distinct vertex ids per row and
     `position` the ranking's position vector (position[v] is the
-    position of vertex v).  Returns the (C, width) int64 table, one row
-    per constraint: for FAST the last-ranked member; for BETWEENNESS the
-    first- and last-ranked members as an increasing pair; for
-    TRANSITIVE_FAST the members in ranking order.
+    position of vertex v).  Returns the (C, width) int64 table of
+    `_ranked_datum`, one row per constraint.  Only the members that the
+    datum reads are ranked: the last (FAST), the first and last
+    (BETWEENNESS) or all of them (TRANSITIVE_FAST).
     """
     members = np.asarray(members, dtype=np.int64)
-    order = np.argsort(np.asarray(position, dtype=np.int64)[members], axis=1)
-    by_rank = np.take_along_axis(members, order, axis=1)
+    # positions are below n, so the narrowest integer type that holds n suffices
+    placed = np.asarray(position, dtype=np.min_scalar_type(len(position)))[members]
     if kind.family is Family.FAST:
-        return by_rank[:, -1:].copy()
-    if kind.family is Family.BETWEENNESS:
-        return np.sort(by_rank[:, [0, -1]], axis=1)
-    return by_rank
+        picks = placed.argmax(axis=1)[:, None]
+    elif kind.family is Family.BETWEENNESS:
+        picks = np.column_stack((placed.argmin(axis=1), placed.argmax(axis=1)))
+    else:
+        picks = np.argsort(placed, axis=1)
+    return _ranked_datum(kind, np.take_along_axis(members, picks, axis=1))
 
 
 def satisfied_selected(
@@ -386,69 +411,6 @@ def satisfied_selected(
     (`satisfied_data` on one row)."""
     row = satisfied_data(kind, [members], ranking.position)[0].tolist()
     return constraint_from_row(kind, members, row).selected
-
-
-def _verdict(family: Family, members: np.ndarray, columns: np.ndarray):
-    """The family's verdict over position rows: `members` (C, r) and the
-    selected columns `columns` (width, C) index into each row."""
-    if family is Family.FAST:
-        (sel,) = columns
-
-        def verdict(pos: np.ndarray) -> np.ndarray:
-            return pos[:, sel] == pos[:, members].max(axis=2)
-
-    elif family is Family.BETWEENNESS:
-        first, second = columns
-
-        def verdict(pos: np.ndarray) -> np.ndarray:
-            mp = pos[:, members]
-            lo = mp.min(axis=2)
-            hi = mp.max(axis=2)
-            pa = pos[:, first]
-            pb = pos[:, second]
-            return ((pa == lo) & (pb == hi)) | ((pa == hi) & (pb == lo))
-
-    else:
-
-        def verdict(pos: np.ndarray) -> np.ndarray:
-            ok = np.ones((pos.shape[0], len(members)), dtype=bool)
-            left = pos[:, columns[0]]
-            for column in columns[1:]:
-                right = pos[:, column]
-                ok &= left < right
-                left = right
-            return ok
-
-    return verdict
-
-
-def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the instance into a batch verdict.
-
-    The returned function maps an (m, n) matrix whose rows are ranking
-    positions (row[v] is the position of vertex v) to the (m, C) mask of
-    satisfied constraints, columns in lexicographic member order.
-    """
-    members = subsets(inst.n, inst.r)
-    return _verdict(inst.kind.family, members, np.ascontiguousarray(inst.selected.T))
-
-
-def member_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
-    """The batch verdict with every constraint under its own member order.
-
-    The returned function maps an (m, C, r) array of member positions
-    (entry [i, c, j] is the position of the j-th member of constraint c)
-    to the (m, C) satisfied mask.  Each member slot of each constraint is
-    its own column of a position row, so `batch_verdict`'s rule runs
-    unchanged.
-    """
-    members = subsets(inst.n, inst.r)
-    count, r = members.shape
-    slots = np.arange(count * r).reshape(count, r)
-    # the slot of each selected vertex within its member row
-    where = (inst.selected[:, :, None] == members[:, None, :]).argmax(axis=2)
-    verdict = _verdict(inst.kind.family, slots, np.ascontiguousarray((slots[:, :1] + where).T))
-    return lambda pos: verdict(pos.reshape(len(pos), count * r))
 
 
 _WHOLE_ORDERS = 8  # arity up to which `order_violations` scores all orders at once
@@ -461,7 +423,7 @@ def member_orders(r: int) -> np.ndarray:
     Row o lists the slots first-ranked first, so row 0 is the members'
     own increasing order.
     """
-    orders = np.array(list(itertools.permutations(range(r))), dtype=np.int64)
+    orders = np.array(list(itertools.permutations(range(r))), dtype=np.int8)
     orders.flags.writeable = False
     return orders
 
@@ -471,25 +433,35 @@ def order_violations(inst: Instance) -> np.ndarray:
 
     Entry [c, o] is True when constraint c is violated by a ranking that
     puts its members in the o-th member order, lexicographically (row o
-    of `member_orders(r)`).  One `member_verdict` pass per 8! orders;
-    positions are int8, so its temporaries take a few bytes per
-    (constraint, order, member).  Above r = 8 the orders are built one
-    block of fixed leading slots at a time, so the r! x r table of
-    `member_orders(r)` is never built.
+    of `member_orders(r)`): when the datum that `_ranked_datum` reads off
+    that order differs from the constraint's selected datum, both in
+    member slots and compared as one base-r integer each.  Above r = 8
+    the orders come in blocks of 8! that share their leading slots; the
+    data of one template block are coded once, and each block compares
+    them with the selected data relabelled to the template's slots, so
+    the r! x r table of `member_orders(r)` is never built.
     """
-    r = inst.r
+    kind, r = inst.kind, inst.r
+    members = subsets(inst.n, r)
+    digits = (r,) * selected_width(kind)
+    # the slot of each selected vertex within its member row
+    slots = (inst.selected[:, :, None] == members[:, None, :]).argmax(axis=2)
     lead = max(r - _WHOLE_ORDERS, 0)
-    tail = np.argsort(member_orders(r - lead), axis=1).astype(np.int8)  # position of each slot
-    shape = (len(tail), inst.constraint_count(), r)
-    verdict = member_verdict(inst)
-    blocks = []
-    for head in itertools.permutations(range(r), lead):
-        rest = [slot for slot in range(r) if slot not in head]
-        pos = np.empty((len(tail), r), dtype=np.int8)
-        pos[:, list(head)] = np.arange(lead)
-        pos[:, rest] = tail + lead
-        blocks.append(~verdict(np.broadcast_to(pos[:, None, :], shape)).T)
-    return np.concatenate(blocks, axis=1)
+    tail = member_orders(r - lead)
+    size = len(tail)
+    # the template block ranks slots 0..lead-1 first, in that order
+    first = np.broadcast_to(np.arange(lead, dtype=np.int8), (size, lead))
+    data = _ranked_datum(kind, np.column_stack((first, tail + lead)))
+    template = np.ravel_multi_index(tuple(data.T), digits)
+    out = np.empty((len(members), factorial(r)), dtype=bool)
+    for i, head in enumerate(itertools.permutations(range(r), lead)):
+        # this block is the template with slot label[j] in place of slot j;
+        # re-reading the relabelled data sorts a BETWEENNESS pair again
+        label = [*head, *(slot for slot in range(r) if slot not in head)]
+        relabelled = _ranked_datum(kind, np.argsort(label)[slots])
+        selected = np.ravel_multi_index(tuple(relabelled.T), digits)
+        np.not_equal(selected[:, None], template, out=out[:, i * size : (i + 1) * size])
+    return out
 
 
 def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:

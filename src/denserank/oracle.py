@@ -30,11 +30,12 @@ ranking only when it is cheaper than every ranking before it in
 lexicographic order.  Each engine refuses instances above its own vertex
 cap (`DEFAULT_CAPS`) unless the caller passes an explicit cap.
 
-The per-family verdict lives in `model.batch_verdict`; both engines
-read it through `model.order_violations`, which runs it once on every
-member order of every constraint.  The tests pin both engines against
-each other, against the n! enumerator they replaced and against an
-independently written pure-Python enumerator.
+Both engines read the family's rule once, through
+`model.order_violations`: the violation of every member order of every
+constraint.  The prefix search recounts the ranking it returns with
+`model.fault_count`.  The tests pin both engines against each other,
+against the n! enumerator they replaced and against an independently
+written pure-Python enumerator.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ import numpy as np
 from .errors import EnumerationCapError, OracleError, SemanticsError
 from .model import (
     Instance,
+    OrderedInstance,
     ProblemKind,
     Ranking,
     VertexId,
-    batch_verdict,
+    fault_count,
     induced,
     member_orders,
     order_violations,
@@ -266,9 +268,7 @@ class _PrefixSearch:
         return found
 
     def _recount(self, cost: int, order: tuple[VertexId, ...]) -> None:
-        pos = np.empty((1, self.n), dtype=np.int64)
-        pos[0, list(order)] = np.arange(self.n)
-        faults = self.inst.constraint_count() - int(batch_verdict(self.inst)(pos).sum())
+        faults = fault_count(OrderedInstance(self.inst, Ranking(order)))
         if faults != cost:
             raise OracleError(
                 f"prefix search bound {cost} differs from the {faults} faults of ranking {order}"

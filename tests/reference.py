@@ -10,10 +10,16 @@ it checked records as one table, kept verbatim as the reference for the
 differential parse test.  It shares only the scalar validation rule and
 the error types with the package.
 
+`batch_verdict` is the package's batch verdict as it was before every
+verdict was built on `model.satisfied_data`: one closure per family
+over rows of ranking positions, compiled from an instance.  It is kept
+verbatim as an independent reference for the verdict tests, the n!
+enumerator and the reference local search below.
+
 `local_search_provider` is the adjacent-swap hill climber as it was
 when it recounted every constraint's verdict for each trial swap, kept
 verbatim as the reference for the differential local-search test.  It
-shares only the batch verdict with the package.
+shares only the member table with the package.
 
 `petal_is_single_fault` is the sunflower petal check as it was when it
 looked up each r-subset of the petal with `Instance.constraint` and the
@@ -27,7 +33,7 @@ prefix search replaced it: every ranking scored with the batch verdict,
 in lexicographic blocks of 8! permutations, stopping after the first
 block that holds a consistent ranking.  It is kept verbatim, without
 the vertex cap, as the reference for the differential oracle tests.  It
-shares only the batch verdict with the package.
+shares only the member table with the package.
 
 `generate_with_details` is the instance generator as it was when it
 drew each value from a list of a constraint's selected data and built
@@ -41,7 +47,7 @@ makes `tfast` cost r! per constraint: keep r at 6 or below.
 
 import itertools
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -63,10 +69,10 @@ from denserank.model import (
     Ranking,
     SelectedData,
     VertexId,
-    batch_verdict,
     constraint_from_row,
     evaluate,
     selected_width,
+    subsets,
     validate_constraint,
 )
 from denserank.generate import GenerationMode, GeneratorSpec
@@ -184,6 +190,51 @@ def parse(text):
                 len(lines) + 1,
             ) from None
     return Instance._from_table(n, kind, rows)
+
+
+def _verdict(family: Family, members: np.ndarray, columns: np.ndarray):
+    """The family's verdict over position rows: `members` (C, r) and the
+    selected columns `columns` (width, C) index into each row."""
+    if family is Family.FAST:
+        (sel,) = columns
+
+        def verdict(pos: np.ndarray) -> np.ndarray:
+            return pos[:, sel] == pos[:, members].max(axis=2)
+
+    elif family is Family.BETWEENNESS:
+        first, second = columns
+
+        def verdict(pos: np.ndarray) -> np.ndarray:
+            mp = pos[:, members]
+            lo = mp.min(axis=2)
+            hi = mp.max(axis=2)
+            pa = pos[:, first]
+            pb = pos[:, second]
+            return ((pa == lo) & (pb == hi)) | ((pa == hi) & (pb == lo))
+
+    else:
+
+        def verdict(pos: np.ndarray) -> np.ndarray:
+            ok = np.ones((pos.shape[0], len(members)), dtype=bool)
+            left = pos[:, columns[0]]
+            for column in columns[1:]:
+                right = pos[:, column]
+                ok &= left < right
+                left = right
+            return ok
+
+    return verdict
+
+
+def batch_verdict(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile the instance into a batch verdict.
+
+    The returned function maps an (m, n) matrix whose rows are ranking
+    positions (row[v] is the position of vertex v) to the (m, C) mask of
+    satisfied constraints, columns in lexicographic member order.
+    """
+    members = subsets(inst.n, inst.r)
+    return _verdict(inst.kind.family, members, np.ascontiguousarray(inst.selected.T))
 
 
 def local_search_provider(inst: Instance) -> Ranking:

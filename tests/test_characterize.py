@@ -165,6 +165,20 @@ class TestCharacterizationSweeps:
         assert report.checked == configs
         assert report.counterexamples == ()
 
+    @pytest.mark.parametrize(
+        "family,r,size,sample",
+        [(Family.BETWEENNESS, 5, 10, 150), (Family.TRANSITIVE_FAST, 6, 7, 500)],
+    )
+    def test_certified_conflict_size_holds_on_a_seeded_sample(self, family, r, size, sample):
+        # exhausting these takes seconds: 2,268 configurations for
+        # betweenness r = 5 and 5,033 for tfast r = 6
+        kind = ProblemKind(family, r)
+        assert default_conflict_size(kind) == size
+        report = verify_simple_characterization(kind, size, sample=sample, seed=17)
+        assert not report.exhaustive
+        assert report.checked == sample
+        assert report.counterexamples == ()
+
     def test_betweenness_r3_size_4_has_no_counterexamples(self):
         report = verify_simple_characterization(B3, 4)
         assert report.exhaustive

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import shutil
 import subprocess
@@ -30,6 +31,37 @@ from denserank.model import (
 
 F2 = ProblemKind(Family.FAST, 2)
 GOLDEN_KERNEL_DIR = Path(__file__).parent / "golden" / "kernel"
+
+
+# Sizes where both drop rules, sunflower edits and (fast_r2_n16) a
+# conflict-packing edit fire, and two r = 4 local-search runs (the
+# tfast one fires sunflower edits); the expected stdout, kernel file
+# and trace file are frozen byte for byte.
+GOLDEN_KERNEL_CASES = [
+    ("fast_r2_n45", ("fast", "2", "45", "6", "3"), ("--k", "3")),
+    ("fast_r3_n32", ("fast", "3", "32", "6", "4"), ("--k", "3")),
+    (
+        "tfast_r3_n16",
+        ("tfast", "3", "16", "4", "2"),
+        ("--k", "2", "--provider", "localsearch"),
+    ),
+    ("fast_r2_n16", ("fast", "2", "16", "5", "2"), ("--k", "2")),
+    (
+        "betweenness_r3_n12",
+        ("betweenness", "3", "12", "3", "0"),
+        ("--k", "2", "--provider", "localsearch"),
+    ),
+    (
+        "tfast_r4_n10",
+        ("tfast", "4", "10", "3", "1"),
+        ("--k", "1", "--provider", "localsearch"),
+    ),
+    (
+        "betweenness_r4_n9",
+        ("betweenness", "4", "9", "2", "1"),
+        ("--k", "2", "--provider", "localsearch"),
+    ),
+]
 
 
 def run(capsys, *argv):
@@ -232,38 +264,7 @@ class TestKernelize:
             assert (code, out) == (2, "")
             assert "invalid choice: 'incdegree'" in err
 
-    # Sizes where both drop rules, sunflower edits and (fast_r2_n16) a
-    # conflict-packing edit fire, and two r = 4 local-search runs (the
-    # tfast one fires sunflower edits); the expected stdout, kernel file
-    # and trace file are frozen byte for byte.
-    @pytest.mark.parametrize(
-        "name,gen_argv,kernel_argv",
-        [
-            ("fast_r2_n45", ("fast", "2", "45", "6", "3"), ("--k", "3")),
-            ("fast_r3_n32", ("fast", "3", "32", "6", "4"), ("--k", "3")),
-            (
-                "tfast_r3_n16",
-                ("tfast", "3", "16", "4", "2"),
-                ("--k", "2", "--provider", "localsearch"),
-            ),
-            ("fast_r2_n16", ("fast", "2", "16", "5", "2"), ("--k", "2")),
-            (
-                "betweenness_r3_n12",
-                ("betweenness", "3", "12", "3", "0"),
-                ("--k", "2", "--provider", "localsearch"),
-            ),
-            (
-                "tfast_r4_n10",
-                ("tfast", "4", "10", "3", "1"),
-                ("--k", "1", "--provider", "localsearch"),
-            ),
-            (
-                "betweenness_r4_n9",
-                ("betweenness", "4", "9", "2", "1"),
-                ("--k", "2", "--provider", "localsearch"),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("name,gen_argv,kernel_argv", GOLDEN_KERNEL_CASES)
     def test_golden_kernel_outputs(self, capsys, tmp_path, name, gen_argv, kernel_argv):
         family, r, n, edits, seed = gen_argv
         path = gen_file(
@@ -443,6 +444,38 @@ def test_file_checks_hold_under_optimize(capsys, tmp_path, text, error, line):
     assert plain[0] == 3 and plain[2].startswith(f"error: line {line}: ")
     result = _run_from_elsewhere(["-O", "-m", "denserank", "solve", str(bad)], tmp_path)
     assert (result.returncode, result.stdout, result.stderr) == plain
+
+
+# gen and kernelize each golden case in one process; argv[1] is the JSON case list
+_GOLDEN_KERNEL_RUNS = """
+import contextlib, json, sys
+from denserank.cli import main
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+for name, (family, r, n, edits, seed), kernel_argv in json.loads(sys.argv[1]):
+    gen = ["gen", "--family", family, "--r", r, "--n", n, "--edits", edits, "--seed", seed]
+    if main([*gen, "--out", name + ".rcsp"]) != 0:
+        sys.exit(f"gen failed for {name}")
+    kernelize = ["kernelize", name + ".rcsp", *kernel_argv]
+    kernelize += ["--out", name + ".kernel.txt", "--trace-out", name + ".trace.txt"]
+    with open(name + ".stdout.txt", "w") as out, contextlib.redirect_stdout(out):
+        code = main(kernelize)
+    if code != 0:
+        sys.exit(f"kernelize exited {code} for {name}")
+"""
+
+
+def test_golden_kernel_outputs_hold_under_optimize(tmp_path):
+    """`python -O` strips asserts; the checks that keep kernelization
+    sound must not be among them, so every golden kernelize run gives
+    the same stdout, kernel file and trace byte for byte."""
+    cases = json.dumps(GOLDEN_KERNEL_CASES)
+    result = _run_from_elsewhere(["-O", "-c", _GOLDEN_KERNEL_RUNS, cases], tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    for name, _, _ in GOLDEN_KERNEL_CASES:
+        for part in ("stdout", "kernel", "trace"):
+            produced = (tmp_path / f"{name}.{part}.txt").read_bytes()
+            assert produced == (GOLDEN_KERNEL_DIR / f"{name}.{part}.txt").read_bytes(), name
 
 
 @pytest.mark.skipif(

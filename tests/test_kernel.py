@@ -323,13 +323,15 @@ def test_petal_checks_agree_with_the_per_subset_reference(
 )
 def test_violated_mask_is_read_only_and_built_once(monkeypatch, inst, center, find):
     built = []
-    batch_verdict = model.batch_verdict
+    satisfied_data = model.satisfied_data
 
-    def counted(inst):
-        built.append(inst)
-        return batch_verdict(inst)
+    def counted(kind, members, position):
+        # the one-row calls of `edit_wrt` build no mask
+        if len(members) == inst.constraint_count():
+            built.append(members)
+        return satisfied_data(kind, members, position)
 
-    monkeypatch.setattr(model, "batch_verdict", counted)
+    monkeypatch.setattr(model, "satisfied_data", counted)
     oi = OrderedInstance(inst, Ranking.identity(inst.n))
     flower = find(oi, inst.constraint(center), 1)
     apply_sunflower_edit(oi, flower, 1)

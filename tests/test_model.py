@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,15 +21,14 @@ from denserank.model import (
     Ranking,
     all_selected_values,
     batch_valid,
-    batch_verdict,
     constraint_from_row,
     edit_wrt,
     evaluate,
     fault_count,
     inconsistent_constraints,
     induced,
-    member_verdict,
     nth_combination,
+    order_violations,
     satisfied_data,
     selected_width,
     span,
@@ -182,10 +183,9 @@ def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
     assert inconsistent_constraints(oi) == rejected
 
     row = reference._positions(np.array([sigma.order], dtype=np.int8))
-    batch_faults = inst.constraint_count() - int(batch_verdict(inst)(row).sum())
-    assert fault_count(oi) == batch_faults == len(rejected)
-    by_member = member_verdict(inst)(row[:, subsets(n, kind.r)])
-    assert np.array_equal(by_member, batch_verdict(inst)(row))
+    satisfied = reference.batch_verdict(inst)(row)[0]
+    assert np.array_equal(oi.violated, ~satisfied)
+    assert fault_count(oi) == int((~satisfied).sum()) == len(rejected)
 
     for c in inst.constraints():
         assert evaluate(kind, edit_wrt(kind, c, sigma), sigma)
@@ -193,6 +193,58 @@ def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
     scalar = [reference.satisfied_selected(kind, c.members, sigma) for c in inst.constraints()]
     table = satisfied_data(kind, subsets(n, kind.r), sigma.position)
     assert np.array_equal(table, Instance._from_table(n, kind, scalar).selected)
+
+
+def test_violated_mask_gathers_positions_narrowly():
+    # one ranking's verdict gathers positions in the narrowest integer
+    # type that holds n; gathered as int64 they peaked at 1.75 MB here
+    inst = generate(GeneratorSpec(F3, 65, GenerationMode.PLANTED, 1, edits=10))
+    subsets(65, 3)
+    oi = OrderedInstance(inst, Ranking.identity(65))
+    tracemalloc.start()
+    try:
+        mask = oi.violated
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (math.comb(65, 3),)
+    assert peak < 1.4e6
+
+
+ORDER_KINDS = [
+    ProblemKind(family, r)
+    for r in range(2, 10)
+    for family in Family
+    if r >= (2 if family is Family.FAST else 3)
+]
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS, ids=lambda k: f"{k.family.value}-r{k.r}")
+def test_order_violations_match_the_scalar_rule_on_every_member_order(kind):
+    r = kind.r
+    # several constraints while r! is small, one (n = r) above; r = 9
+    # scores its orders in blocks of 8! that share the leading slot
+    n = r + 2 if r <= 5 else r
+    inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed=r))
+    slots = tuple(range(r))
+    # each selected datum in member slots, where the scalar rule answers
+    selected = [
+        c.members.index(c.selected)
+        if isinstance(c.selected, int)
+        else tuple(map(c.members.index, c.selected))
+        for c in inst.constraints()
+    ]
+    # a ranking of the member slots: the scalar rule reads only its positions
+    ranking = types.SimpleNamespace()
+    expected = []
+    orders = itertools.permutations(slots)  # lexicographic, like member_orders(r)
+    while chunk := list(itertools.islice(orders, math.factorial(8))):
+        for position in np.argsort(chunk, axis=1).tolist():
+            ranking.position = position
+            datum = reference.satisfied_selected(kind, slots, ranking)
+            expected.extend(datum != s for s in selected)
+    table = np.array(expected).reshape(math.factorial(r), -1).T
+    assert np.array_equal(order_violations(inst), table)
 
 
 @settings(derandomize=True, deadline=None)
