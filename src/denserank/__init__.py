@@ -15,13 +15,10 @@ from .model import (
     Ranking,
     VertexId,
     all_selected_values,
-    edit_wrt,
     evaluate,
     fault_count,
     inconsistent_constraints,
     induced,
-    span,
-    span_minus,
 )
 from .oracle import ExactResult, decide, is_conflict, min_inconsistencies
 from .characterize import (

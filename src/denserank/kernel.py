@@ -9,6 +9,12 @@ current ranking; doing so and decrementing k preserves the answer.
 Centers and batches of petals are counted from one cached mask per
 ranked instance, `OrderedInstance.violated`, with no per-subset lookup.
 
+A fault is a row: the drivers hold faults as the indices of the
+violated rows of that mask, a center is one such row (the same row of
+`Instance.selected`), and an edit writes the satisfied datum into that
+row of a copy of the table, which the trace record then reads back.
+No `Constraint` object is built on the way.
+
 Two drivers are provided.  `kernelize_characterized` works for the
 families whose single faults certify bounded conflicts (BETWEENNESS,
 TRANSITIVE_FAST) with petals of the family's certified width (its
@@ -51,22 +57,16 @@ from .errors import (
     SemanticsError,
 )
 from .model import (
-    Constraint,
     Family,
     Instance,
     OrderedInstance,
     ProblemKind,
     Ranking,
-    SelectedData,
     VertexId,
-    edit_wrt,
-    inconsistent_constraints,
     induced,
     member_orders,
     order_violations,
-    satisfied_selected,
-    span,
-    span_minus,
+    satisfied_data,
     subsets,
 )
 
@@ -167,16 +167,19 @@ def local_search_provider(inst: Instance) -> Ranking:
 
 @dataclass(frozen=True)
 class SimpleSunflower:
-    """Center constraint plus pairwise-disjoint petal extensions.
+    """Center row plus pairwise-disjoint petal extensions.
 
-    Also carries conflict packings, whose extras are the vertex groups.
+    `row` is the center's row in `Instance.selected` and
+    `OrderedInstance.violated`, `members` its sorted members.  Also
+    carries conflict packings, whose extras are the vertex groups.
     """
 
-    center: Constraint
+    row: int
+    members: tuple[VertexId, ...]
     extras: tuple[tuple[VertexId, ...], ...]
 
     def __post_init__(self):
-        seen = set(self.center.members)
+        seen = set(self.members)
         for extra in self.extras:
             for v in extra:
                 if v in seen:
@@ -189,7 +192,7 @@ class SimpleSunflower:
 
     def petals(self):
         for extra in self.extras:
-            yield tuple(sorted(self.center.members + extra))
+            yield tuple(sorted(self.members + extra))
 
 
 def _faults_within(oi: OrderedInstance, groups: list[tuple[VertexId, ...]]) -> np.ndarray:
@@ -206,9 +209,13 @@ def _faults_within(oi: OrderedInstance, groups: list[tuple[VertexId, ...]]) -> n
     return oi.violated[ranks].reshape(members.shape[:2]).sum(axis=1)
 
 
-def _require_violated(oi: OrderedInstance, center: Constraint) -> None:
-    if not oi.violated[oi.instance._row(center.members)[1]]:
-        raise PreconditionError(f"center {center.members} is already consistent with the ranking")
+def _violated_members(oi: OrderedInstance, row: int) -> tuple[VertexId, ...]:
+    """The members of center row `row`, which the ranking must violate."""
+    inst = oi.instance
+    members = tuple(subsets(inst.n, inst.r)[row].tolist())
+    if not oi.violated[row]:
+        raise PreconditionError(f"center {members} is already consistent with the ranking")
+    return members
 
 
 def _single_fault(oi: OrderedInstance, petals: list[tuple[VertexId, ...]]) -> np.ndarray:
@@ -219,22 +226,21 @@ def _single_fault(oi: OrderedInstance, petals: list[tuple[VertexId, ...]]) -> np
 
 def _single_fault_sunflower(
     oi: OrderedInstance,
-    center: Constraint,
+    row: int,
+    members: tuple[VertexId, ...],
     candidates: list[tuple[VertexId, ...]],
     k: int,
 ) -> Optional[SimpleSunflower]:
     """The candidate extras whose petal is single-fault, as a sunflower;
     None unless more than k of them survive."""
-    _require_violated(oi, center)
-    single = _single_fault(oi, [center.members + extra for extra in candidates])
+    single = _single_fault(oi, [members + extra for extra in candidates])
     extras = tuple(extra for extra, ok in zip(candidates, single) if ok)
-    return SimpleSunflower(center, extras) if len(extras) > k else None
+    return SimpleSunflower(row, members, extras) if len(extras) > k else None
 
 
-def find_simple_sunflower(
-    oi: OrderedInstance, center: Constraint, k: int
-) -> Optional[SimpleSunflower]:
-    """Greedy disjoint petals of the family's certified width around `center`.
+def find_simple_sunflower(oi: OrderedInstance, row: int, k: int) -> Optional[SimpleSunflower]:
+    """Greedy disjoint petals of the family's certified width around the
+    center row `row`.
 
     The width is the conflict size minus r.  Non-center vertices are
     chunked in ranking order, first fit; a chunk survives if the center
@@ -242,29 +248,31 @@ def find_simple_sunflower(
     fewer than k + 1 petals survive.
     """
     width = default_conflict_size(oi.instance.kind) - oi.instance.r
-    pool = [v for v in oi.sigma.order if v not in center.members]
+    members = _violated_members(oi, row)
+    pool = [v for v in oi.sigma.order if v not in members]
     chunks = [tuple(pool[i : i + width]) for i in range(0, len(pool) - width + 1, width)]
-    return _single_fault_sunflower(oi, center, chunks, k)
+    return _single_fault_sunflower(oi, row, members, chunks, k)
 
 
-def find_fast_sunflower(
-    oi: OrderedInstance, center: Constraint, k: int
-) -> Optional[SimpleSunflower]:
-    """Single-vertex petals for FAST, drawn from the center's span.
+def find_fast_sunflower(oi: OrderedInstance, row: int, k: int) -> Optional[SimpleSunflower]:
+    """Single-vertex petals for FAST around the center row `row`.
 
     A petal must be a conflict, not merely single-fault.  For r >= 3
-    every single-fault extension by a vertex ranked no later than the
-    center's last member is a conflict, so candidates come from the
-    span plus everything before it.  At r = 2 a backward pair plus an
+    every single-fault extension by a vertex ranked before the center's
+    last member is a conflict, so candidates are sliced from the ranking
+    up to that member's position.  At r = 2 a backward pair plus an
     earlier vertex is an acyclic triangle, so only vertices strictly
-    inside the span count.
+    between the two members count.
     """
     kind = oi.instance.kind
     if kind.family is not Family.FAST:
         raise SemanticsError("find_fast_sunflower needs a FAST instance")
-    pool = span(center, oi.sigma)[0] if kind.r == 2 else span_minus(center, oi.sigma)
-    candidates = [(v,) for v in pool if v not in center.members]
-    return _single_fault_sunflower(oi, center, candidates, k)
+    members = _violated_members(oi, row)
+    placed = [oi.sigma.position[v] for v in members]
+    first = min(placed) + 1 if kind.r == 2 else 0
+    pool = oi.sigma.order[first : max(placed)]
+    candidates = [(v,) for v in pool if v not in members]
+    return _single_fault_sunflower(oi, row, members, candidates, k)
 
 
 def _pair_tournament(inst: Instance) -> np.ndarray:
@@ -285,10 +293,9 @@ def _cyclic_triple(tournament, a: VertexId, b: VertexId, c: VertexId) -> bool:
     return tournament[a][b] == tournament[b][c] == tournament[c][a]
 
 
-def _find_conflict_packing(
-    oi: OrderedInstance, center: Constraint, k: int
-) -> Optional[SimpleSunflower]:
-    """Disjoint vertex groups each forming a conflict with a violated pair.
+def _find_conflict_packing(oi: OrderedInstance, row: int, k: int) -> Optional[SimpleSunflower]:
+    """Disjoint vertex groups each forming a conflict with the violated
+    pair in center row `row`.
 
     Pair constraints only.  Interior single-vertex petals can run dry at
     width two while the instance is still large, so this widens the
@@ -306,10 +313,10 @@ def _find_conflict_packing(
     inst = oi.instance
     if inst.kind.r != 2:
         raise SemanticsError("conflict packing applies to pair constraints only")
-    _require_violated(oi, center)
+    members = _violated_members(oi, row)
     tournament = _pair_tournament(inst).tolist()
-    u, w = center.members
-    used = set(center.members)
+    u, w = members
+    used = set(members)
     groups: list[tuple[VertexId, ...]] = []
 
     def take(group: tuple[VertexId, ...]) -> None:
@@ -331,7 +338,7 @@ def _find_conflict_packing(
             continue
         if _cyclic_triple(tournament, x, y, z):
             take((x, y, z))
-    return SimpleSunflower(center, tuple(groups)) if len(groups) > k else None
+    return SimpleSunflower(row, members, tuple(groups)) if len(groups) > k else None
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +356,23 @@ def _certified_edit(
     Sound only when the petal count exceeds k, since then no k-edit
     solution can leave the center untouched or disagree with the
     ranking on it.  The center and every petal are re-verified here; a
-    stale certificate is a caller bug worth failing loudly on.
+    stale certificate is a caller bug worth failing loudly on.  The edit
+    writes the datum the ranking satisfies into the center's row of a
+    copy of the table.
     """
     if flower.petal_count <= k:
         raise RuleInapplicableError(
             f"certificate has {flower.petal_count} petals, need more than k={k}"
         )
-    _require_violated(oi, flower.center)
+    _violated_members(oi, flower.row)
     petals = list(flower.petals())
     for petal, ok in zip(petals, petals_ok(petals)):
         if not ok:
             raise PreconditionError(f"petal {petal} fails its check; the certificate is stale")
-    edited = edit_wrt(oi.instance.kind, flower.center, oi.sigma)
-    return oi.instance.replace({flower.center.members: edited}), k - 1
+    inst = oi.instance
+    table = inst.selected.copy()
+    table[flower.row] = satisfied_data(inst.kind, [flower.members], oi.sigma.position)[0]
+    return Instance._from_table(inst.n, inst.kind, table), k - 1
 
 
 def apply_sunflower_edit(
@@ -467,9 +478,12 @@ def drop_cycle_free_vertex(
 
 @dataclass(frozen=True)
 class EditRecord:
+    """An edit of the constraint on `center`; the selected data are the
+    center's table rows before and after."""
+
     center: tuple[VertexId, ...]
-    old_selected: SelectedData
-    new_selected: SelectedData
+    old_selected: tuple[VertexId, ...]
+    new_selected: tuple[VertexId, ...]
     k_before: int
     k_after: int
     petals: int
@@ -478,7 +492,7 @@ class EditRecord:
     def line(self) -> str:
         return (
             f"rule={self.rule} center={_fmt_ids(self.center)} "
-            f"selected={_fmt_sel(self.old_selected)}->{_fmt_sel(self.new_selected)} "
+            f"selected={_fmt_ids(self.old_selected)}->{_fmt_ids(self.new_selected)} "
             f"k={self.k_before}->{self.k_after} petals={self.petals}"
         )
 
@@ -502,14 +516,19 @@ TraceRecord = Union[EditRecord, DropRecord]
 
 
 def _edit_record(
-    oi: OrderedInstance, flower: SimpleSunflower, k_before: int, k_after: int, rule: str
+    before: Instance,
+    after: Instance,
+    flower: SimpleSunflower,
+    k_before: int,
+    k_after: int,
+    rule: str,
 ) -> EditRecord:
-    """The trace record of an edit of `flower`'s center made under `oi`."""
-    center = flower.center
+    """The trace record of the edit of `flower`'s center row from `before`
+    to `after`."""
     return EditRecord(
-        center=center.members,
-        old_selected=center.selected,
-        new_selected=satisfied_selected(oi.instance.kind, center.members, oi.sigma),
+        center=flower.members,
+        old_selected=tuple(before.selected[flower.row].tolist()),
+        new_selected=tuple(after.selected[flower.row].tolist()),
         k_before=k_before,
         k_after=k_after,
         petals=flower.petal_count,
@@ -519,12 +538,6 @@ def _edit_record(
 
 def _fmt_ids(ids: tuple[VertexId, ...]) -> str:
     return ",".join(str(v) for v in ids)
-
-
-def _fmt_sel(sel: SelectedData) -> str:
-    if isinstance(sel, tuple):
-        return ",".join(str(v) for v in sel)
-    return str(sel)
 
 
 class Verdict(Enum):
@@ -565,10 +578,7 @@ class KernelOutcome:
         return trivial_instance(self.kind, self.verdict is Verdict.TRIVIAL_YES)
 
 
-# (kind, yes) pairs whose canonical trivial instance the oracle confirmed
-_TRIVIAL_CONFIRMED: set[tuple[ProblemKind, bool]] = set()
-
-
+@functools.lru_cache(maxsize=None)
 def trivial_instance(kind: ProblemKind, yes: bool) -> tuple[Instance, int]:
     """Canonical fixed-answer instances at budget 0.
 
@@ -576,24 +586,22 @@ def trivial_instance(kind: ProblemKind, yes: bool) -> tuple[Instance, int]:
     fault placed so the whole r+1 vertex set is a conflict; the fault
     skips one vertex of the identity order, which is a conflict shape
     for every family, including FAST at r = 2 (a cyclic triangle).
-    The oracle confirms each (kind, yes) answer once per process; an
-    instance is rebuilt on every call, identically.
+    Each (kind, yes) pair is built, and its answer confirmed by the
+    oracle, once per process; the read-only instance is then shared by
+    every call.  A wrong answer raises, so nothing is cached for it.
     """
     r = kind.r
     if yes:
-        members = tuple(range(r))
-        satisfied = satisfied_selected(kind, members, Ranking.identity(r))
-        inst = Instance(r, kind, [Constraint(members, satisfied)])
+        satisfied = satisfied_data(kind, subsets(r, r), Ranking.identity(r).position)
+        inst = Instance._from_table(r, kind, satisfied)
     else:
         fault_members = tuple(range(r - 1)) + (r,)
         bad_value = violating_selected_values(kind, fault_members, Ranking.identity(r + 1))[0]
         inst = single_fault_config(kind, r + 1, fault_members, bad_value).instance
-    if (kind, yes) not in _TRIVIAL_CONFIRMED:
-        if oracle.decide(inst, 0) != yes:
-            raise KernelDriverError(
-                f"trivial {kind.family.value} r={r} instance has the opposite answer to yes={yes}"
-            )
-        _TRIVIAL_CONFIRMED.add((kind, yes))
+    if oracle.decide(inst, 0) != yes:
+        raise KernelDriverError(
+            f"trivial {kind.family.value} r={r} instance has the opposite answer to yes={yes}"
+        )
     return inst, 0
 
 
@@ -642,7 +650,7 @@ def kernelize_characterized(
     width = default_conflict_size(kind) - kind.r
     sigma = provider(inst)
     oi = OrderedInstance(inst, sigma)
-    faults = inconsistent_constraints(oi)
+    faults = np.flatnonzero(oi.violated)
     p0 = p = len(faults)
     trace: list[TraceRecord] = []
 
@@ -659,7 +667,7 @@ def kernelize_characterized(
             return outcome(Verdict.TRIVIAL_NO)
         if inst.n <= p * width + width * (k + 1) + kind.r:
             return outcome(Verdict.REDUCED)
-        flower = find_simple_sunflower(oi, faults[0], k)
+        flower = find_simple_sunflower(oi, int(faults[0]), k)
         if flower is None:
             raise KernelDriverError(
                 "no sunflower although the size test guarantees one; "
@@ -667,28 +675,28 @@ def kernelize_characterized(
             )
         new_inst, new_k = apply_sunflower_edit(oi, flower, k)
         _debug_check(debug_oracle_checks, inst, k, new_inst, new_k, oracle_cap)
-        trace.append(_edit_record(oi, flower, k, new_k, "sunflower-edit"))
+        trace.append(_edit_record(inst, new_inst, flower, k, new_k, "sunflower-edit"))
         inst, k = new_inst, new_k
         oi = OrderedInstance(inst, sigma)
-        faults = inconsistent_constraints(oi)
+        faults = np.flatnonzero(oi.violated)
         p, old_p = len(faults), p
         if p != old_p - 1:
             raise KernelDriverError(f"an edit must clear exactly its own fault: p {old_p}->{p}")
 
 
 def _fast_certificate(
-    oi: OrderedInstance, faults: list[Constraint], k: int
+    oi: OrderedInstance, faults: np.ndarray, k: int
 ) -> tuple[SimpleSunflower, Callable[..., tuple[Instance, int]], str]:
     """(certificate, apply function, rule name) of the next FAST edit.
 
-    The first violated constraint holding the ranking's last vertex is
-    tried first.  At r = 2, where interior pools can be thin, every
-    violated pair is tried in turn, then the petals widen to conflict
-    packings.
+    `faults` are the violated rows in table order.  The first one holding
+    the ranking's last vertex is tried first.  At r = 2, where interior
+    pools can be thin, every violated pair is tried in turn, then the
+    petals widen to conflict packings.
     """
     inst = oi.instance
-    last = oi.sigma.last()
-    centers = [c for c in faults if last in c.members]
+    holds_last = (subsets(inst.n, inst.r)[faults] == oi.sigma.last()).any(axis=1)
+    centers = faults[holds_last].tolist()
     if not centers:
         raise KernelDriverError(
             "after exhaustive drops the last vertex must sit in a violated constraint"
@@ -697,7 +705,7 @@ def _fast_certificate(
     if flower is not None:
         return flower, apply_sunflower_edit, "sunflower-edit"
     if inst.r == 2:
-        ordered = centers + [c for c in faults if last not in c.members]
+        ordered = centers + faults[~holds_last].tolist()
         for center in ordered[1:]:
             flower = find_fast_sunflower(oi, center, k)
             if flower is not None:
@@ -756,7 +764,7 @@ def kernelize_fast(
     while True:
         sigma = inc_degree_ranking(inst)
         oi = OrderedInstance(inst, sigma)
-        faults = inconsistent_constraints(oi)
+        faults = np.flatnonzero(oi.violated)
         p = len(faults)
         if p0 is None:
             p0 = p
@@ -796,5 +804,5 @@ def kernelize_fast(
         certificate, apply_edit, rule = _fast_certificate(oi, faults, k)
         new_inst, new_k = apply_edit(oi, certificate, k)
         _debug_check(debug_oracle_checks, inst, k, new_inst, new_k, oracle_cap)
-        trace.append(_edit_record(oi, certificate, k, new_k, rule))
+        trace.append(_edit_record(inst, new_inst, certificate, k, new_k, rule))
         inst, k = new_inst, new_k

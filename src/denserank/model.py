@@ -482,29 +482,6 @@ def fault_count(oi: OrderedInstance) -> int:
     return int(oi.violated.sum())
 
 
-def span(c: Constraint, ranking: Ranking) -> tuple[tuple[VertexId, ...], bool]:
-    """Vertices between the constraint's extreme positions, inclusive.
-
-    Returned in ranking order, together with a flag telling whether the
-    members sit consecutively (span size equals arity).
-    """
-    ps = [ranking.pos(v) for v in c.members]
-    lo, hi = min(ps), max(ps)
-    vertices = tuple(ranking.order[lo : hi + 1])
-    return vertices, len(vertices) == len(c.members)
-
-
-def span_minus(c: Constraint, ranking: Ranking) -> tuple[VertexId, ...]:
-    """The span extended with every vertex ranked before it."""
-    hi = max(ranking.pos(v) for v in c.members)
-    return tuple(ranking.order[: hi + 1])
-
-
-def edit_wrt(kind: ProblemKind, c: Constraint, ranking: Ranking) -> Constraint:
-    """The unique constraint on the same members that `ranking` satisfies."""
-    return Constraint(c.members, satisfied_selected(kind, c.members, ranking))
-
-
 def induced(
     inst: Instance, subset: Iterable[VertexId]
 ) -> tuple[Instance, dict[VertexId, VertexId]]:

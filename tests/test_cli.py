@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import shutil
@@ -476,6 +477,17 @@ def test_golden_kernel_outputs_hold_under_optimize(tmp_path):
         for part in ("stdout", "kernel", "trace"):
             produced = (tmp_path / f"{name}.{part}.txt").read_bytes()
             assert produced == (GOLDEN_KERNEL_DIR / f"{name}.{part}.txt").read_bytes(), name
+
+
+def test_every_perfbench_trace_target_exists():
+    """`perfbench --trace 1` wraps package functions by name, so a renamed
+    one would show only there.  Loading the tracer after `denserank.cli`
+    resolves every target without installing a wrapper."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.Tracer().missing == []
 
 
 @pytest.mark.skipif(

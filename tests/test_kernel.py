@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 from conftest import consistent_instance
+from test_cli import GOLDEN_KERNEL_CASES
 from denserank import kernel, model, oracle
 from denserank.approx import DegreeProfile, inc_degree_ranking
 from denserank.characterize import violating_selected_values
@@ -51,8 +52,6 @@ from denserank.model import (
     all_selected_values,
     fault_count,
     inconsistent_constraints,
-    span,
-    span_minus,
 )
 
 EDIT_LINE = re.compile(
@@ -67,6 +66,11 @@ F3 = ProblemKind(Family.FAST, 3)
 T3 = ProblemKind(Family.TRANSITIVE_FAST, 3)
 T4 = ProblemKind(Family.TRANSITIVE_FAST, 4)
 LOCAL_SEARCH_KINDS = [F2, F3, B3, B4, T3, T4]
+
+
+def row_of(inst, members):
+    """The table row of the constraint on `members`: a finder's center."""
+    return inst._row(members)[1]
 
 
 def broken_at(kind, n, members, sigma=None):
@@ -145,14 +149,14 @@ def test_local_search_matches_the_full_recount(kind, n, planted, edits, seed):
 
 class TestSunflowerShape:
     def test_petal_vertices_must_be_disjoint(self):
-        center = Constraint((0, 1), 0)
         with pytest.raises(PreconditionError):
-            SimpleSunflower(center, ((2,), (2,)))
+            SimpleSunflower(0, (0, 1), ((2,), (2,)))
         with pytest.raises(PreconditionError):
-            SimpleSunflower(center, ((1,),))
+            SimpleSunflower(0, (0, 1), ((1,),))
 
     def test_petals_extend_the_center(self):
-        flower = SimpleSunflower(Constraint((1, 3), 1), ((0,), (2,)))
+        row = row_of(consistent_instance(F2, 4), (1, 3))
+        flower = SimpleSunflower(row, (1, 3), ((0,), (2,)))
         assert flower.petal_count == 2
         assert list(flower.petals()) == [(0, 1, 3), (1, 2, 3)]
 
@@ -173,27 +177,27 @@ class TestFindSimpleSunflower:
     def test_single_fault_center_collects_all_chunks(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         oi = OrderedInstance(inst, Ranking.identity(8))
-        flower = find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
+        flower = find_simple_sunflower(oi, row_of(inst, (0, 1, 2)), 1)
         assert flower is not None
         assert flower.extras == ((3,), (4,), (5,), (6,), (7,))
 
     def test_not_enough_petals_is_none(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         oi = OrderedInstance(inst, Ranking.identity(8))
-        assert find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 5) is None
+        assert find_simple_sunflower(oi, row_of(inst, (0, 1, 2)), 5) is None
 
     def test_satisfied_center_is_rejected(self):
         inst = consistent_instance(B3, 6)
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(PreconditionError):
-            find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
+            find_simple_sunflower(oi, row_of(inst, (0, 1, 2)), 1)
 
     def test_other_faults_knock_out_their_chunk(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         bad = violating_selected_values(B3, (0, 1, 3), Ranking.identity(8))[0]
         inst = inst.replace({(0, 1, 3): Constraint((0, 1, 3), bad)})
         oi = OrderedInstance(inst, Ranking.identity(8))
-        flower = find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
+        flower = find_simple_sunflower(oi, row_of(inst, (0, 1, 2)), 1)
         assert (3,) not in flower.extras
         assert flower.petal_count == 4
 
@@ -202,30 +206,30 @@ class TestFindFastSunflower:
     def test_wide_center_draws_from_everything_before_its_last(self):
         inst = broken_at(F3, 6, (0, 1, 5))
         oi = OrderedInstance(inst, Ranking.identity(6))
-        flower = find_fast_sunflower(oi, inst.constraint((0, 1, 5)), 2)
+        flower = find_fast_sunflower(oi, row_of(inst, (0, 1, 5)), 2)
         assert flower.extras == ((2,), (3,), (4,))
-        assert find_fast_sunflower(oi, inst.constraint((0, 1, 5)), 3) is None
+        assert find_fast_sunflower(oi, row_of(inst, (0, 1, 5)), 3) is None
 
     def test_pair_center_uses_interior_vertices_only(self):
         # an extra ranked before both pair members gives an acyclic
         # triangle, not a conflict, so 0-before and 4-after are skipped
         inst = broken_at(F2, 5, (1, 4))
         oi = OrderedInstance(inst, Ranking.identity(5))
-        flower = find_fast_sunflower(oi, inst.constraint((1, 4)), 1)
+        flower = find_fast_sunflower(oi, row_of(inst, (1, 4)), 1)
         assert flower.extras == ((2,), (3,))
 
     def test_family_gate(self):
         inst = broken_at(B3, 5, (0, 1, 2))
         oi = OrderedInstance(inst, Ranking.identity(5))
         with pytest.raises(SemanticsError):
-            find_fast_sunflower(oi, inst.constraint((0, 1, 2)), 1)
+            find_fast_sunflower(oi, row_of(inst, (0, 1, 2)), 1)
 
 
 class TestApplySunflowerEdit:
     def setup_flower(self):
         inst = broken_at(B3, 8, (0, 1, 2))
         oi = OrderedInstance(inst, Ranking.identity(8))
-        return inst, oi, find_simple_sunflower(oi, inst.constraint((0, 1, 2)), 1)
+        return inst, oi, find_simple_sunflower(oi, row_of(inst, (0, 1, 2)), 1)
 
     def test_edit_agrees_with_ranking_and_spends_budget(self):
         inst, oi, flower = self.setup_flower()
@@ -247,15 +251,19 @@ class TestApplySunflowerEdit:
             apply_sunflower_edit(OrderedInstance(stale, Ranking.identity(8)), flower, 1)
 
 
-def petal_candidates(oi, center):
-    """The extras a finder draws for `center`, in its order (the
-    certified-width chunks, or FAST's single vertices from the span)."""
+def petal_candidates(oi, members):
+    """The extras a finder draws around `members`, in its order: the
+    certified-width chunks, or FAST's single vertices ranked strictly
+    between the two members (r = 2) or before the last one (r >= 3)."""
     kind, sigma = oi.instance.kind, oi.sigma
     if kind.family is Family.FAST:
-        pool = span(center, sigma)[0] if kind.r == 2 else span_minus(center, sigma)
-        return tuple((v,) for v in pool if v not in center.members)
+        first = min(sigma.pos(v) for v in members) if kind.r == 2 else -1
+        last = max(sigma.pos(v) for v in members)
+        return tuple(
+            (v,) for v in sigma.order if v not in members and first < sigma.pos(v) < last
+        )
     width = default_conflict_size(kind) - kind.r
-    pool = [v for v in sigma.order if v not in center.members]
+    pool = [v for v in sigma.order if v not in members]
     return tuple(tuple(pool[i : i + width]) for i in range(0, len(pool) - width + 1, width))
 
 
@@ -294,17 +302,18 @@ def test_petal_checks_agree_with_the_per_subset_reference(
     oi = OrderedInstance(inst, sigma)
     find = find_fast_sunflower if kind.family is Family.FAST else find_simple_sunflower
     for center in inconsistent_constraints(oi):
-        candidates = petal_candidates(oi, center)
+        row = row_of(inst, center.members)
+        candidates = petal_candidates(oi, center.members)
         accepted = tuple(
             extra
             for extra in candidates
             if reference.petal_is_single_fault(oi, center, tuple(sorted(center.members + extra)))
         )
-        assert find(oi, center, len(accepted) - 1).extras == accepted
-        assert find(oi, center, len(accepted)) is None
+        assert find(oi, row, len(accepted) - 1).extras == accepted
+        assert find(oi, row, len(accepted)) is None
         if not candidates:
             continue
-        flower = SimpleSunflower(center, candidates)
+        flower = SimpleSunflower(row, center.members, candidates)
         if accepted != candidates:
             with pytest.raises(PreconditionError, match="certificate is stale"):
                 apply_sunflower_edit(oi, flower, 0)
@@ -326,14 +335,14 @@ def test_violated_mask_is_read_only_and_built_once(monkeypatch, inst, center, fi
     satisfied_data = model.satisfied_data
 
     def counted(kind, members, position):
-        # the one-row calls of `edit_wrt` build no mask
+        # the edit's one-row call builds no mask
         if len(members) == inst.constraint_count():
             built.append(members)
         return satisfied_data(kind, members, position)
 
     monkeypatch.setattr(model, "satisfied_data", counted)
     oi = OrderedInstance(inst, Ranking.identity(inst.n))
-    flower = find(oi, inst.constraint(center), 1)
+    flower = find(oi, row_of(inst, center), 1)
     apply_sunflower_edit(oi, flower, 1)
     assert fault_count(oi) == 1
     assert len(built) == 1
@@ -450,29 +459,29 @@ class TestConflictPacking:
     def test_collects_single_vertex_groups_in_ranking_order(self):
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
-        packing = _find_conflict_packing(oi, inst.constraint((0, 1)), 1)
+        packing = _find_conflict_packing(oi, row_of(inst, (0, 1)), 1)
         assert packing.extras == ((2,), (3,))
 
     def test_too_few_groups_is_none(self):
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
-        assert _find_conflict_packing(oi, inst.constraint((0, 1)), 2) is None
+        assert _find_conflict_packing(oi, row_of(inst, (0, 1)), 2) is None
 
     def test_gates(self):
         inst3 = consistent_instance(F3, 5)
         with pytest.raises(SemanticsError):
             _find_conflict_packing(
-                OrderedInstance(inst3, Ranking.identity(5)), inst3.constraint((0, 1, 2)), 0
+                OrderedInstance(inst3, Ranking.identity(5)), row_of(inst3, (0, 1, 2)), 0
             )
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(PreconditionError):
-            _find_conflict_packing(oi, inst.constraint((4, 5)), 0)
+            _find_conflict_packing(oi, row_of(inst, (4, 5)), 0)
 
     def test_edit_preserves_the_answer(self):
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
-        packing = _find_conflict_packing(oi, inst.constraint((0, 1)), 1)
+        packing = _find_conflict_packing(oi, row_of(inst, (0, 1)), 1)
         new_inst, new_k = _apply_packing_edit(oi, packing, 1)
         assert new_k == 0
         assert new_inst.constraint((0, 1)).selected == 1
@@ -482,13 +491,13 @@ class TestConflictPacking:
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(PreconditionError):
-            _apply_packing_edit(oi, SimpleSunflower(inst.constraint((0, 1)), ((4,),)), 0)
+            _apply_packing_edit(oi, SimpleSunflower(row_of(inst, (0, 1)), (0, 1), ((4,),)), 0)
 
     def test_budget_at_least_groups_is_inapplicable(self):
         inst = self.packed_instance()
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(RuleInapplicableError):
-            _apply_packing_edit(oi, SimpleSunflower(inst.constraint((0, 1)), ((2,), (3,))), 2)
+            _apply_packing_edit(oi, SimpleSunflower(row_of(inst, (0, 1)), (0, 1), ((2,), (3,))), 2)
 
 
 class TestTrivialInstances:
@@ -501,11 +510,21 @@ class TestTrivialInstances:
         assert (no_inst.n, no_k) == (kind.r + 1, 0)
         assert not oracle.decide(no_inst, no_k)
 
+    @pytest.mark.parametrize("kind", [B3, B4, F2, F3, T3])
+    def test_instances_are_shared_and_read_only(self, kind):
+        yes_inst, _ = trivial_instance(kind, True)
+        assert yes_inst == Instance(kind.r, kind, consistent_instance(kind, kind.r).constraints())
+        for yes in (True, False):
+            inst, _ = trivial_instance(kind, yes)
+            assert trivial_instance(kind, yes)[0] is inst
+            with pytest.raises(ValueError):
+                inst.selected[0, 0] = 0
+
     @pytest.mark.parametrize("yes", [True, False])
     def test_wrong_oracle_answer_fails_loudly(self, monkeypatch, yes):
         trivial_instance(F3, yes)  # confirmed once, so the next call skips the oracle
         monkeypatch.setattr(oracle, "decide", lambda inst, k, cap=None: not yes)
-        monkeypatch.setattr(kernel, "_TRIVIAL_CONFIRMED", set())
+        trivial_instance.cache_clear()
         with pytest.raises(KernelDriverError, match="opposite answer to yes"):
             trivial_instance(F3, yes)
         with pytest.raises(KernelDriverError, match="opposite answer to yes"):
@@ -520,7 +539,7 @@ class TestTrivialInstances:
             return decide(inst, k)
 
         monkeypatch.setattr(oracle, "decide", counted)
-        monkeypatch.setattr(kernel, "_TRIVIAL_CONFIRMED", set())
+        trivial_instance.cache_clear()
         for kind in (B3, F2):
             for yes in (True, False):
                 first = trivial_instance(kind, yes)
@@ -734,3 +753,33 @@ class TestFastDriver:
         no = kernelize_fast(planted(Family.FAST, 2, 7, 11, 3), 0)
         inst, k = no.materialize()
         assert not oracle.decide(inst, k)
+
+
+def test_kernelize_runs_build_no_constraint(monkeypatch):
+    """Faults stay table rows from the driver to the trace record: once a
+    warm-up run has built the canonical trivial instances, the golden
+    kernelize inputs run with no `Constraint` built, to the same traces."""
+    runs = []
+    for _, (family, r, n, edits, seed), argv in GOLDEN_KERNEL_CASES:
+        kind = ProblemKind(Family(family), int(r))
+        spec = GeneratorSpec(kind, int(n), GenerationMode.PLANTED, int(seed), int(edits))
+        runs.append((generate(spec), int(argv[argv.index("--k") + 1])))
+
+    def kernelize(inst, k):
+        if inst.kind.family is Family.FAST:
+            return kernelize_fast(inst, k)
+        return kernelize_characterized(inst, k, local_search_provider)
+
+    warm = [kernelize(inst, k) for inst, k in runs]
+    built = []
+    init = Constraint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Constraint, "__init__", counted)
+    outcomes = [kernelize(inst, k) for inst, k in runs]
+    assert built == []
+    assert [o.trace_text() for o in outcomes] == [o.trace_text() for o in warm]
+    assert sum(o.edit_count() for o in outcomes) > 0

@@ -22,7 +22,6 @@ from denserank.model import (
     all_selected_values,
     batch_valid,
     constraint_from_row,
-    edit_wrt,
     evaluate,
     fault_count,
     inconsistent_constraints,
@@ -30,9 +29,8 @@ from denserank.model import (
     nth_combination,
     order_violations,
     satisfied_data,
+    satisfied_selected,
     selected_width,
-    span,
-    span_minus,
     subsets,
     validate_constraint,
 )
@@ -188,7 +186,8 @@ def test_scalar_verdict_agrees_with_the_batch_verdict(kind, data):
     assert fault_count(oi) == int((~satisfied).sum()) == len(rejected)
 
     for c in inst.constraints():
-        assert evaluate(kind, edit_wrt(kind, c, sigma), sigma)
+        edited = Constraint(c.members, satisfied_selected(kind, c.members, sigma))
+        assert evaluate(kind, edited, sigma)
 
     scalar = [reference.satisfied_selected(kind, c.members, sigma) for c in inst.constraints()]
     table = satisfied_data(kind, subsets(n, kind.r), sigma.position)
@@ -287,45 +286,25 @@ def test_batch_record_checks_agree_with_their_scalar_forms(kind, data):
     assert Instance._ranks(n, r, table[increasing, :r].T).tolist() == expected
 
 
-class TestSpans:
-    def test_first_block_is_consecutive(self):
-        inst = consistent_instance(F3, 5)
-        vs, consecutive = span(inst.constraint((0, 1, 2)), Ranking.identity(5))
-        assert vs == (0, 1, 2)
-        assert consecutive
-
-    def test_gappy_members_span_everything(self):
-        inst = consistent_instance(F3, 5)
-        vs, consecutive = span(inst.constraint((0, 2, 4)), Ranking.identity(5))
-        assert vs == (0, 1, 2, 3, 4)
-        assert not consecutive
-
-    def test_span_minus_adds_the_prefix(self):
-        sigma = Ranking.identity(5)
-        inst = consistent_instance(F3, 5)
-        assert span_minus(inst.constraint((1, 2, 3)), sigma) == (0, 1, 2, 3)
-        assert span_minus(inst.constraint((0, 1, 2)), sigma) == (0, 1, 2)
-        # holding the ranking's last vertex extends span-minus to everything
-        assert span_minus(inst.constraint((0, 1, 4)), sigma) == (0, 1, 2, 3, 4)
-
-
 class TestEditWrt:
+    """An edit with respect to a ranking writes the one datum on the
+    members that the ranking satisfies (`satisfied_selected`)."""
+
     def test_fast_edit_takes_the_max(self):
-        c = edit_wrt(F3, Constraint((0, 1, 2), 0), Ranking.identity(3))
-        assert c.selected == 2
+        assert satisfied_selected(F3, (0, 1, 2), Ranking.identity(3)) == 2
 
     def test_betweenness_edit_canonicalizes_orientation(self):
-        c = edit_wrt(B3, Constraint((0, 1, 2), (0, 1)), Ranking((2, 1, 0)))
-        assert c.selected == (0, 2)
+        assert satisfied_selected(B3, (0, 1, 2), Ranking((2, 1, 0))) == (0, 2)
 
     @pytest.mark.parametrize("kind", [B3, F2, F3, T3])
     def test_edit_satisfies_and_is_idempotent(self, kind):
+        # the edited datum satisfies the ranking and is the only value
+        # that does, so editing an edited constraint changes nothing
         sigma = Ranking((3, 0, 4, 1, 2))
         for members in itertools.combinations(range(5), kind.r):
+            edited = satisfied_selected(kind, members, sigma)
             for sel in all_selected_values(kind, members):
-                edited = edit_wrt(kind, Constraint(members, sel), sigma)
-                assert evaluate(kind, edited, sigma)
-                assert edit_wrt(kind, edited, sigma) == edited
+                assert evaluate(kind, Constraint(members, sel), sigma) == (sel == edited)
 
 
 class TestFaults:
@@ -351,9 +330,8 @@ class TestInduced:
 
     def test_verdicts_survive_restriction(self):
         inst = consistent_instance(T3, 6, Ranking((5, 3, 1, 0, 2, 4)))
-        inst = inst.replace(
-            {(1, 3, 5): edit_wrt(T3, Constraint((1, 3, 5), (1, 3, 5)), Ranking.identity(6))}
-        )
+        edited = satisfied_selected(T3, (1, 3, 5), Ranking.identity(6))
+        inst = inst.replace({(1, 3, 5): Constraint((1, 3, 5), edited)})
         oi = OrderedInstance(inst, Ranking((5, 3, 1, 0, 2, 4)))
         sub, relabel = induced(inst, [1, 2, 3, 5])
         # the ranking restricted to the kept vertices, in the new ids
