@@ -18,15 +18,17 @@ non-ASCII characters, tokens of 19 or more digits, ids past the int64
 range) is split and converted as `str`, so it is read as before and
 fails as before.  `parse` runs each check over a whole block at once:
 member range, strictly increasing members and valid selected data, then
-lexicographic subset ranks, which place each record and show whether
-any subset is duplicated or missing.  Blocks are placed as they are
-read, so a valid file is never held as one table of all its records.
-When a check fails, the file is read again into one table, and the
-first failing line wins: a stable sort of the ranks tells each duplicate
-from the record it repeats, and the per-record checks run again on that
-one line, in the order a line is checked: token count, integer tokens,
-member range, member order, duplicate, selected data.  So every error is
-the one a line-by-line read raises first.
+lexicographic subset ranks, which place each record and show whether a
+subset repeats one of an earlier block or of its own.  Blocks are placed
+as they are read, so a file is never held as one table of all its
+records, and the walk stops at the first block that fails a check.  Only
+that block is read again, line by line, in the order a line is checked:
+token count, integer tokens, member range, member order, duplicate,
+selected data.  A file that passes every block but holds fewer than
+C(n, r) records is missing the subset of the first unset rank.  So every
+error is the one a line-by-line read raises first.  A header that claims
+more table cells than the file has characters builds no table: its
+records are read line by line from the first one.
 
 Serializing then parsing is the identity on instances, and parsing then
 serializing is the identity on canonically ordered files.
@@ -34,6 +36,7 @@ serializing is the identity on canonically ordered files.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -100,18 +103,18 @@ def _chunks(text: str, start: int) -> Iterator[str]:
         start = end
 
 
-def _convert(chunk: str, width: int, wide: bool) -> Optional[np.ndarray]:
-    """The record lines of `chunk` as one (width, lines) table, one row
-    per field, or None when a line has another token count or a token
-    `int` rejects.  A plain block, one that holds only ASCII digits,
-    spaces and line feeds and no token of more than PLAIN_DIGITS digits,
-    is tokenized on its bytes; any other, and every block of `wide` ids,
-    goes through `_convert_text`, which returns the same for a plain one."""
-    if wide or not chunk.isascii():
-        return _convert_text(chunk, width, wide)
+def _convert(chunk: str, width: int) -> Optional[np.ndarray]:
+    """The record lines of `chunk` as one contiguous (width, lines) int64
+    table, one row per field, or None when a line has another token count
+    or a token int64 cannot hold.  A plain block, one that holds only
+    ASCII digits, spaces and line feeds and no token of more than
+    PLAIN_DIGITS digits, is tokenized on its bytes; any other goes through
+    `_convert_text`, which returns the same for a plain one."""
+    if not chunk.isascii():
+        return _convert_text(chunk, width)
     data = chunk.encode("ascii")
     if data.translate(None, _PLAIN):
-        return _convert_text(chunk, width, wide)
+        return _convert_text(chunk, width)
     text = np.frombuffer(data, dtype=np.uint8)
     digit = np.zeros(len(text) + 2, dtype=np.int8)
     digit[1:-1] = text >= ord("0")  # digits are the only plain bytes above the space
@@ -120,7 +123,7 @@ def _convert(chunk: str, width: int, wide: bool) -> Optional[np.ndarray]:
     lengths = ends - starts
     longest = int(lengths.max(initial=0))
     if longest > PLAIN_DIGITS:
-        return _convert_text(chunk, width, wide)
+        return _convert_text(chunk, width)
     feeds = np.flatnonzero(text == ord("\n"))
     lines = len(feeds) + (len(data) > 0 and data[-1] != ord("\n"))
     if len(starts) != lines * width:
@@ -138,84 +141,78 @@ def _convert(chunk: str, width: int, wide: bool) -> Optional[np.ndarray]:
     values = np.zeros(len(starts), dtype=np.int64)
     for back in range(longest, 0, -1):
         values = values * 10 + digits[(ends - back).clip(0)] * (lengths >= back)
-    return values.reshape(-1, width).T
+    # row-wise checks over a strided table cost several times more
+    return np.ascontiguousarray(values.reshape(-1, width).T)
 
 
-def _convert_text(chunk: str, width: int, wide: bool) -> Optional[np.ndarray]:
-    """`_convert` by `str.split` and `int`, for any block.  The table is
-    int64 unless `wide` (ids may pass the int64 range): then it holds
-    Python ints."""
+def _convert_text(chunk: str, width: int) -> Optional[np.ndarray]:
+    """`_convert` by `str.split` and `int`, for any block."""
     counts = list(map(len, map(str.split, chunk.splitlines())))
     if counts.count(width) != len(counts):
         return None
     tokens = chunk.split()  # line ends are whitespace too
     try:
-        if wide:
-            return np.array(list(map(int, tokens)), dtype=object).reshape(-1, width).T
-        return np.array(tokens, dtype=np.int64).reshape(-1, width).T
+        return np.ascontiguousarray(np.array(tokens, dtype=np.int64).reshape(-1, width).T)
     except (ValueError, OverflowError):
         return None
 
 
-def _table(chunks: Iterable[str], width: int, wide: bool) -> tuple[np.ndarray, bool]:
-    """The record lines of `chunks` as one (width, lines) table, and
-    whether it stopped short, before the first line that does not convert."""
-    parts, stopped = [], False
-    for chunk in chunks:
-        block = _convert(chunk, width, wide)
-        if block is None:
-            lines = chunk.splitlines(keepends=True)
-            # by str: per line, the numpy passes of a plain block cost more
-            good = next(i for i, line in enumerate(lines) if _convert_text(line, width, wide) is None)
-            parts.append(_convert("".join(lines[:good]), width, wide))
-            stopped = True
-            break
-        parts.append(block)
-    # one field per contiguous row: the blocks are transposed views, and
-    # row-wise checks over a strided table cost several times more
-    table = np.empty((width, sum(part.shape[1] for part in parts)), dtype=object if wide else np.int64)
-    if parts:
-        np.concatenate(parts, axis=1, out=table)
-    return table, stopped
-
-
-def _valid(kind: ProblemKind, n: int, block: np.ndarray) -> np.ndarray:
-    """Which columns of a (width, lines) record table are valid records."""
+def _block_ranks(kind: ProblemKind, n: int, block: np.ndarray) -> Optional[np.ndarray]:
+    """The subset ranks of the records of a (width, lines) table, or None
+    when one of them is invalid."""
     members, selected = block[: kind.r], block[kind.r :]
-    return ((members >= 0) & (members < n)).all(axis=0) & batch_valid(kind, members, selected)
+    if ((members >= 0) & (members < n)).all() and batch_valid(kind, members, selected).all():
+        return Instance._ranks(n, kind.r, members)
+    return None
 
 
-def _placed(chunks: Iterable[str], kind: ProblemKind, n: int, width: int) -> Optional[np.ndarray]:
+def _placed(chunks: Iterable[str], kind: ProblemKind, n: int, width: int) -> np.ndarray:
     """The (C(n, r), width - r) selected table in subset order, when the
     record lines of `chunks` hold each r-subset exactly once in valid
-    records; else None.  Each block is checked and placed as it is
-    converted, so no table of every record is held."""
+    records; else raises the first error of a line-by-line read.  Each
+    block is checked and placed as it is converted, so no table of every
+    record is held, and only a block that fails a check is read again."""
     r = kind.r
     total = comb(n, r)
-    placed = np.empty((total, width - r), dtype=np.int64)
-    seen = np.zeros(total, dtype=bool)
+    placed = np.full((total, width - r), -1, dtype=np.int64)  # -1: not placed yet
+    seen = np.zeros(total, dtype=bool)  # the subsets of every block converted
     records = 0
     for chunk in chunks:
-        block = _convert(chunk, width, wide=False)
-        if block is None:
-            return None
-        block = np.ascontiguousarray(block)  # row-wise checks on a strided block cost more
-        if not _valid(kind, n, block).all():
-            return None
-        ranks = Instance._ranks(n, r, block[:r])
-        seen[ranks] = True
+        block = _convert(chunk, width)
+        ranks = None if block is None else _block_ranks(kind, n, block)
+        if ranks is not None:
+            seen[ranks] = True
+        # a subset repeated in the block or from an earlier one adds no mark
+        if ranks is None or np.count_nonzero(seen) < records + len(ranks):
+            # every earlier line is a record, so the block starts on line records + 2
+            raise _line_error(kind, n, chunk, records + 2, set(), placed[:, 0] >= 0)
         for column, values in zip(placed.T, block[r:]):
             np.put(column, ranks, values)  # unlike `column[ranks] = values`, buffers nothing
-        records += block.shape[1]
-    # C(n, r) records that cover every subset hold each exactly once
-    return placed if records == total and seen.all() else None
+        records += len(ranks)
+    if records < total:
+        raise _count_error(n, r, records, nth_combination(n, r, int(np.argmin(seen))))
+    return placed
+
+
+def _line_error(
+    kind: ProblemKind, n: int, text: str, lineno: int, earlier: set, seen: Optional[np.ndarray]
+) -> Optional[ParseError]:
+    """The first error of a line-by-line read of `text`, whose first line
+    is line `lineno`, or None; `earlier` gains the members of each record
+    read.  A subset repeats when `earlier` holds it or `seen`, unless
+    None, marks its rank."""
+    for lineno, raw in enumerate(text.splitlines(), start=lineno):
+        error = _record_error(kind, n, raw, lineno, earlier, seen)
+        if error is not None:
+            return error
+    return None
 
 
 def _record_error(
-    kind: ProblemKind, n: int, raw: str, lineno: int, earlier: np.ndarray
+    kind: ProblemKind, n: int, raw: str, lineno: int, earlier: set, seen: Optional[np.ndarray]
 ) -> Optional[ParseError]:
-    """The error of the first per-record check that `raw` fails, or None;
-    `earlier` (r, lines) holds the members of the records before it."""
+    """The error of the first per-record check that `raw` fails, or None,
+    and then `earlier` gains its members; duplicates as in `_line_error`."""
     tokens = raw.split()
     width = kind.r + selected_width(kind)
     if len(tokens) != width:
@@ -230,37 +227,19 @@ def _record_error(
         return RecordSyntaxError(f"member outside 0..{n - 1} in {members}", lineno)
     if any(members[i] >= members[i + 1] for i in range(r - 1)):
         return RecordSyntaxError(f"members not strictly increasing: {members}", lineno)
-    if (earlier.T == members).all(axis=1).any():
+    if members in earlier or seen is not None and seen[Instance._rank(n, r, members)]:
         return DuplicateRecordError(f"second record for subset {members}", lineno)
     try:
         validate_constraint(kind, constraint_from_row(kind, members, values[r:]))
     except InvalidConstraintError as err:
         return SelectedValueError(str(err), lineno)
+    earlier.add(members)
     return None
 
 
-def _rejection(
-    text: str, kind: ProblemKind, n: int, members: np.ndarray, valid: np.ndarray, stopped: bool
-) -> ParseError:
-    """The error a line-by-line read of `text` raises first.  `members`
-    and `valid` come from the table of its records, which `stopped` short
-    of a line that does not convert; the first line the table checks
-    reject is rejected by the per-record checks too."""
-    r = kind.r
-    rows = np.flatnonzero(valid)
-    ranks = Instance._ranks(n, r, members[:, rows])
-    order = np.argsort(ranks, kind="stable")
-    ranks = ranks[order]
-    # a stable sort keeps the first record of a subset ahead of its copies
-    valid[rows[order[1:][ranks[1:] == ranks[:-1]]]] = False
-    records = members.shape[1]
-    first = records if valid.all() else int(np.argmin(valid))
-    if stopped or first < records:
-        raw = text.splitlines()[first + 1]
-        return _record_error(kind, n, raw, first + 2, members[:, :first])
-    # the records are distinct valid subsets, so fewer than C(n, r) of them
-    gaps = np.flatnonzero(ranks != np.arange(records))
-    missing = nth_combination(n, r, int(gaps[0]) if len(gaps) else records)
+def _count_error(n: int, r: int, records: int, missing: tuple[int, ...]) -> RecordCountError:
+    """The error of a file whose `records` record lines are distinct valid
+    subsets, fewer than C(n, r), the first of those absent being `missing`."""
     return RecordCountError(
         f"{records} records, expected {comb(n, r)}; first missing subset {missing}", records + 2
     )
@@ -290,14 +269,20 @@ def parse(text: str) -> Instance:
 
     width = r + selected_width(kind)
     start = len(lines[0])
-    # a record is at least one digit and one separator per field, the
-    # last line's end aside, so a shorter text cannot hold every subset
-    if 2 * width * comb(n, r) - 1 <= len(text) - start:
-        selected = _placed(_chunks(text, start), kind, n, width)
-        if selected is not None:
-            return Instance._from_table(n, kind, selected)
-    table, stopped = _table(_chunks(text, start), width, wide=n > np.iinfo(np.int64).max)
-    raise _rejection(text, kind, n, table[:r], _valid(kind, n, table), stopped)
+    # the walk's tables hold at most one cell per character of the records
+    if width * comb(n, r) <= len(text) - start:
+        return Instance._from_table(n, kind, _placed(_chunks(text, start), kind, n, width))
+    # A record line takes two characters per field, the last line's end
+    # aside, so this file holds fewer than C(n, r) records.  With no error
+    # they are distinct, and every id skipped between two members of the
+    # first missing subset starts an earlier subset, which is a record: so
+    # that subset lies in range(records + r).
+    earlier: set = set()
+    error = _line_error(kind, n, text[start:], 2, earlier, None)
+    if error is None:
+        candidates = itertools.combinations(range(min(n, len(earlier) + r)), r)
+        error = _count_error(n, r, len(earlier), next(s for s in candidates if s not in earlier))
+    raise error
 
 
 def load(path: str) -> Instance:

@@ -16,7 +16,8 @@ row i of `subsets(n, r)`, so all downstream behaviour is deterministic.
 Outside data is checked once, by `Instance(...)` or the file parser,
 with the selected-data rule written here as a scalar
 (`validate_constraint`) and a batch (`batch_valid`), next to the
-lexicographic subset rank (`Instance._row`, batch `Instance._ranks`).
+lexicographic subset rank (`Instance._rank`, batch `Instance._ranks`
+in int64).
 
 Each family's rule is written here once and nowhere else:
 `_ranked_datum`, the selected datum that members in ranking order
@@ -211,20 +212,16 @@ def subsets(n: int, r: int) -> np.ndarray:
     return table
 
 
-def _rank_terms(n: int, r: int, ids) -> np.ndarray:
-    """The (r, len(ids)) table of the terms comb(n - 1 - v, r - i) of
-    `Instance._ranks` over `ids`; int64 when C(n, r) fits in it, else
-    Python ints.  Slot i of a valid subset holds v >= i; below that the
-    term is never used and could outgrow C(n, r), so it is tabled as 0."""
-    dtype = np.int64 if comb(n, r) <= np.iinfo(np.int64).max else object
-    rows = [[comb(n - 1 - v, r - i) if v >= i else 0 for v in ids] for i in range(r)]
-    return np.array(rows, dtype=dtype)
-
-
 @functools.lru_cache(maxsize=8)
-def _dense_rank_terms(n: int, r: int) -> np.ndarray:
-    """`_rank_terms` over every id 0..n-1 (read-only)."""
-    terms = _rank_terms(n, r, range(n))
+def _rank_terms(n: int, r: int) -> np.ndarray:
+    """The (r, n) int64 table of the terms comb(n - 1 - v, r - i) of
+    `Instance._ranks` over the ids v in 0..n-1 (read-only).  Slot i of a
+    valid subset holds v >= i; below that the term is never used and could
+    outgrow C(n, r), so it is tabled as 0."""
+    terms = np.array(
+        [[comb(n - 1 - v, r - i) if v >= i else 0 for v in range(n)] for i in range(r)],
+        dtype=np.int64,
+    )
     terms.flags.writeable = False
     return terms
 
@@ -292,23 +289,22 @@ class Instance:
         valid = len(key) == r and 0 <= key[0] and key[-1] < n
         if not valid or any(key[i] == key[i + 1] for i in range(r - 1)):
             raise DensityError(f"no constraint for subset {key}")
-        return key, comb(n, r) - 1 - sum(comb(n - 1 - v, r - i) for i, v in enumerate(key))
+        return key, Instance._rank(n, r, key)
+
+    @staticmethod
+    def _rank(n: int, r: int, key: tuple[VertexId, ...]) -> int:
+        """The lexicographic rank of `key`, r strictly increasing ids in 0..n-1."""
+        return comb(n, r) - 1 - sum(comb(n - 1 - v, r - i) for i, v in enumerate(key))
 
     @staticmethod
     def _ranks(n: int, r: int, members: np.ndarray) -> np.ndarray:
-        """Batch form of `_row`'s rank: the (C,) lexicographic ranks of the
-        columns of `members`, (r, C) with strictly increasing ids in 0..n-1
-        down each column.  int64 when C(n, r) fits in it, else Python ints."""
-        # the terms are tabled over the ids 0..n-1 (once per n and r), or
-        # over the ids that occur when there are fewer cells than ids
-        if n <= members.size:
-            terms, slots = _dense_rank_terms(n, r), members
-        else:
-            ids, slots = np.unique(members, return_inverse=True)
-            terms, slots = _rank_terms(n, r, ids.tolist()), slots.reshape(members.shape)
-        ranks = np.full(members.shape[1], comb(n, r) - 1, dtype=terms.dtype)
+        """Batch form of `_rank`: the (C,) int64 lexicographic ranks
+        of the columns of `members`, (r, C) with strictly increasing ids in
+        0..n-1 down each column, for C(n, r) within the int64 range."""
+        terms = _rank_terms(n, r)
+        ranks = np.full(members.shape[1], comb(n, r) - 1, dtype=np.int64)
         for i in range(r):
-            ranks -= terms[i][slots[i]]
+            ranks -= terms[i][members[i]]
         return ranks
 
     def constraint(self, members: Iterable[VertexId]) -> Constraint:

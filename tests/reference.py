@@ -7,8 +7,10 @@ Slow on purpose; keep n at 7 or below.
 
 `parse` is the line-by-line instance file reader the package used before
 it checked records as one table, kept verbatim as the reference for the
-differential parse test.  It shares only the scalar validation rule and
-the error types with the package.
+differential parse test, except that it looks for a missing subset only
+among the ids that can hold the first one, so a header n past 2^63 reads
+as well.  It shares only the scalar validation rule and the error types
+with the package.
 
 `batch_verdict` is the package's batch verdict as it was before every
 verdict was built on `model.satisfied_data`: one closure per family
@@ -181,7 +183,10 @@ def parse(text):
         records[members] = values[r:]
 
     rows = []
-    for subset in itertools.combinations(range(n), r):
+    # The first missing subset lies in range(len(records) + r): each id
+    # skipped between two of its members starts an earlier subset, which
+    # is a record.  So n past the memory of range(n) reads alike.
+    for subset in itertools.combinations(range(min(n, len(records) + r)), r):
         try:
             rows.append(records[subset])
         except KeyError:

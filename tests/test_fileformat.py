@@ -216,14 +216,24 @@ DIFF_MUTATIONS = (
     "token-count", "non-integer", "20-digit", "plus", "underscore",
     "tab", "double-space", "trailing-space", "blank-line",
     "member-range", "member-order", "duplicate", "selected", "dropped", "moved",
-    "18-digit", "19-digit", "leading-zeros", "lone-cr", "vt-ff", "non-ascii",
+    "18-digit", "19-digit", "leading-zeros", "lone-cr", "vt-ff", "non-ascii", "header",
 )
+
+# The n a changed header claims for a file of n vertices.
+HEADER_CLAIMS = (lambda n: n + 1, lambda n: 10 * n, lambda n: 10**6, lambda n: 2**64 + 5)
 
 
 def _mutate(data, lines, kind, n):
     """Apply one drawn change to `lines` in place."""
     r = kind.r
     mutation = data.draw(st.sampled_from(DIFF_MUTATIONS), label="mutation")
+    if mutation == "header":
+        # a claim of more subsets than the records: a walk that runs out of
+        # records, or no table at all, and past n = 2^63 ids beyond int64
+        head = lines[0].split()
+        head[3] = str(data.draw(st.sampled_from(HEADER_CLAIMS), label="claim")(n))
+        lines[0] = " ".join(head)
+        return
     if mutation == "blank-line":
         lines.insert(_line(data, lines, "at", end=1), "")
         return
@@ -342,6 +352,22 @@ def test_plain_blocks_agree_with_the_line_by_line_reader(records):
     assert _outcome(parse, text) == _outcome(reference.parse, text)
 
 
+@pytest.mark.parametrize("claim", HEADER_CLAIMS)
+@pytest.mark.parametrize("kind,n", [(F2, 6), (T3, 5), LARGE[1]])
+@pytest.mark.parametrize("change", ["none", "duplicate", "dropped"])
+def test_headers_that_claim_more_subsets_agree_with_the_line_by_line_reader(claim, kind, n, change):
+    lines = serialize(generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, 0))).splitlines()
+    lines[0] = lines[0].replace(f" {n} ", f" {claim(n)} ")
+    middle = len(lines) // 2
+    if change == "duplicate":
+        lines[middle] = lines[1]
+    elif change == "dropped":
+        del lines[middle]
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(fileformat, "BLOCK_CHARS", LARGE_BLOCK_CHARS):
+        assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
 def test_files_of_several_full_blocks_read_alike_by_bytes_and_by_str():
     inst = generate(GeneratorSpec(F2, 190, GenerationMode.UNIFORM, 0))
     text = serialize(inst)
@@ -370,3 +396,28 @@ def test_a_valid_file_is_placed_block_by_block():
         tracemalloc.stop()
     assert parsed == inst
     assert peak < whole_table
+
+
+def test_an_invalid_file_is_read_line_by_line_in_one_block_at_most():
+    # the walk stops at the block that repeats a subset and reads only that
+    # block again, so parsing builds no table of every record either
+    kind = ProblemKind(Family.FAST, 3)
+    inst = generate(GeneratorSpec(kind, 80, GenerationMode.PLANTED, 0, edits=5))
+    text = serialize(inst)
+    lines = text.splitlines()
+    text += lines[-1] + "\n"
+    whole_table = 4 * inst.constraint_count() * 8
+    block_lines = max(chunk.count("\n") for chunk in fileformat._chunks(text, len(lines[0]) + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DuplicateRecordError) as err:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == len(lines) + 1
+    assert peak < whole_table
+    with mock.patch.object(fileformat, "_record_error", wraps=fileformat._record_error) as checked:
+        with pytest.raises(DuplicateRecordError):
+            parse(text)
+    assert 0 < checked.call_count <= block_lines

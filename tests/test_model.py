@@ -250,8 +250,7 @@ def test_order_violations_match_the_scalar_rule_on_every_member_order(kind):
 @given(kind=st.sampled_from(FORMAT_KINDS), data=st.data())
 def test_batch_record_checks_agree_with_their_scalar_forms(kind, data):
     r, width = kind.r, selected_width(kind)
-    # small n tables every id, large n only the ids that occur; past the
-    # int64 range of C(n, r) the ranks are Python ints
+    # past the int64 range, `batch_valid` is checked on Python ints
     n = data.draw(
         st.one_of(st.integers(r, 9), st.integers(r, 10**6), st.just(2**64 + 5)), label="n"
     )
@@ -280,10 +279,12 @@ def test_batch_record_checks_agree_with_their_scalar_forms(kind, data):
     mask = batch_valid(kind, table[:, :r].T, table[:, r:].T)
     assert mask.tolist() == [scalar_valid(row) for row in rows]
 
-    increasing = [row[:r] == sorted(set(row[:r])) for row in rows]
-    shell = Instance._from_table(n, kind, [])  # `_row` reads only n and r
-    expected = [shell._row(row[:r])[1] for row, ok in zip(rows, increasing) if ok]
-    assert Instance._ranks(n, r, table[increasing, :r].T).tolist() == expected
+    # the batch ranks table every id 0..n-1 in int64
+    if n <= 2_000:
+        increasing = [row[:r] == sorted(set(row[:r])) for row in rows]
+        shell = Instance._from_table(n, kind, [])  # `_row` reads only n and r
+        expected = [shell._row(row[:r])[1] for row, ok in zip(rows, increasing) if ok]
+        assert Instance._ranks(n, r, table[increasing, :r].T).tolist() == expected
 
 
 class TestEditWrt:
