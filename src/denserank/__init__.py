@@ -1,9 +1,12 @@
 """Dense ranking constraint systems.
 
-Library surface: the data model (`Instance`, `Constraint`, `Ranking`),
-an exact oracle, single-fault conflict characterizations, the
-Inc-Degree approximation with slack checkers, sunflower kernelization,
-seeded generators, and a plain-text file format.
+Library surface: the data model (`Instance`, built from `Constraint`
+records, and `Ranking`), an exact oracle, single-fault conflict
+characterizations, the Inc-Degree approximation with slack checkers,
+sunflower kernelization, seeded generators, and a plain-text file
+format.  An instance is one read-only table of selected data, one row
+per r-subset in lexicographic order; `Constraint` is only the form of
+data handed to `Instance(...)`.
 """
 
 from .model import (
@@ -15,9 +18,7 @@ from .model import (
     Ranking,
     VertexId,
     all_selected_values,
-    evaluate,
     fault_count,
-    inconsistent_constraints,
     induced,
 )
 from .oracle import ExactResult, decide, is_conflict, min_inconsistencies
@@ -26,10 +27,8 @@ from .characterize import (
     Compatibility,
     SingleFaultConfig,
     betweenness_single_fault_conflict,
-    classify_compatibility,
     enumerate_single_fault_configs,
     fast_single_fault_conflict,
-    first_block_witness,
     predicted_non_conflicts,
     single_fault_config,
     verify_simple_characterization,

@@ -6,6 +6,11 @@ constraint family admits conflicts of bounded size: every verdict
 reported here is phrased as "is this whole vertex set a conflict", i.e.
 does it admit no consistent ranking at all.
 
+As in the kernel drivers, the fault is a table row: a configuration
+holds its row, checks it against `OrderedInstance.violated`, and reads
+its members and selected datum off that row; the builder writes the
+fault datum into a copy of the satisfied table.
+
 For BETWEENNESS and FAST on r+1 vertices the verdict is decided by
 closed-form rules (position of the faulty constraint within the order,
 plus the shape of its selected pair); the rules are kept as literal
@@ -21,15 +26,11 @@ from enum import Enum
 from math import comb
 from typing import Iterator, Optional
 
+import numpy as np
+
 from . import oracle
-from .errors import (
-    ClassificationError,
-    ConfigError,
-    PreconditionError,
-    SemanticsError,
-)
+from .errors import ConfigError, PreconditionError, SemanticsError
 from .model import (
-    Constraint,
     Family,
     Instance,
     OrderedInstance,
@@ -38,33 +39,32 @@ from .model import (
     SelectedData,
     VertexId,
     all_selected_values,
-    evaluate,
-    inconsistent_constraints,
     nth_combination,
     satisfied_data,
     satisfied_selected,
+    selected_datum,
     subsets,
+    validate_constraint,
 )
 from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
 class SingleFaultConfig:
-    """Ordered instance with exactly one violated constraint.
+    """Ordered instance with exactly one violated constraint, the one in
+    table row `row`.
 
     Construction re-checks the single-fault premise, so holding one of
     these is proof the premise holds.
     """
 
     ordered: OrderedInstance
-    fault: Constraint
+    row: int
 
     def __post_init__(self):
-        bad = inconsistent_constraints(self.ordered)
-        if bad != [self.fault]:
-            raise ConfigError(
-                f"expected exactly the fault {self.fault} to be violated, got {bad}"
-            )
+        bad = np.flatnonzero(self.ordered.violated).tolist()
+        if bad != [self.row]:
+            raise ConfigError(f"expected exactly row {self.row} to be violated, got rows {bad}")
 
     @property
     def instance(self) -> Instance:
@@ -74,6 +74,15 @@ class SingleFaultConfig:
     def sigma(self) -> Ranking:
         return self.ordered.sigma
 
+    @property
+    def members(self) -> tuple[VertexId, ...]:
+        inst = self.instance
+        return tuple(subsets(inst.n, inst.r)[self.row].tolist())
+
+    @property
+    def selected(self) -> SelectedData:
+        return selected_datum(self.instance.kind, self.instance.selected[self.row].tolist())
+
 
 def single_fault_config(
     kind: ProblemKind,
@@ -82,12 +91,17 @@ def single_fault_config(
     fault_selected: SelectedData,
 ) -> SingleFaultConfig:
     """Identity-ordered instance on `size` vertices where every
-    constraint is satisfied except the one given."""
+    constraint is satisfied except the one given.  The fault datum is
+    written into its row of a copy of the satisfied table."""
     identity = Ranking.identity(size)
     satisfied = satisfied_data(kind, subsets(size, kind.r), identity.position)
-    fault = Constraint(tuple(sorted(fault_members)), fault_selected)
-    inst = Instance._from_table(size, kind, satisfied).replace({fault.members: fault})
-    return SingleFaultConfig(OrderedInstance(inst, identity), fault)
+    inst = Instance._from_table(size, kind, satisfied)
+    members, row = inst._row(fault_members)
+    validate_constraint(kind, members, fault_selected)
+    table = inst.selected.copy()
+    table[row] = fault_selected
+    inst = Instance._from_table(size, kind, table)
+    return SingleFaultConfig(OrderedInstance(inst, identity), row)
 
 
 def violating_selected_values(
@@ -122,17 +136,21 @@ class _Placement(Enum):
     SUFFIX = "suffix"  # members occupy the last r positions
 
 
-def _pattern(c: Constraint, sigma: Ranking) -> Compatibility:
+def _pattern(
+    members: tuple[VertexId, ...], selected: SelectedData, sigma: Ranking
+) -> Compatibility:
     """Shape of an unsatisfied BETWEENNESS pair relative to the order.
 
     With members by rank t_1 < ... < t_r: selecting {t_1, t_l} for an
     interior t_l beyond t_2 leaves room to repair on the right; the
     mirror shape {t_l, t_r} with t_l before t_{r-1} repairs on the left.
-    At r = 3 there is no interior slack, so nothing matches.
+    At r = 3 there is no interior slack, so nothing matches.  The two
+    shapes are mutually exclusive: both at once would force the selected
+    pair to be the span's extremes, which is the satisfied case.
     """
-    by_rank = sorted(c.members, key=sigma.pos)
+    by_rank = sorted(members, key=sigma.pos)
     r = len(by_rank)
-    sel = set(c.selected)
+    sel = set(selected)
     for l in range(2, r - 1):  # 0-based index of t_{l+1}, i.e. ranks 3..r-1
         if sel == {by_rank[0], by_rank[l]}:
             return Compatibility.RIGHT
@@ -142,24 +160,8 @@ def _pattern(c: Constraint, sigma: Ranking) -> Compatibility:
     return Compatibility.NEITHER
 
 
-def classify_compatibility(c: Constraint, sigma: Ranking, kind: ProblemKind) -> Compatibility:
-    """Classify an unsatisfied BETWEENNESS constraint (arity >= 4).
-
-    The two shapes are mutually exclusive: both at once would force the
-    selected pair to be the span's extremes, which is the satisfied
-    case.
-    """
-    if kind.family is not Family.BETWEENNESS:
-        raise SemanticsError(f"compatibility is a BETWEENNESS notion, got {kind.family.value}")
-    if kind.r < 4:
-        raise PreconditionError(f"compatibility needs arity >= 4, got r={kind.r}")
-    if evaluate(kind, c, sigma):
-        raise ClassificationError(f"constraint {c} is satisfied; nothing to classify")
-    return _pattern(c, sigma)
-
-
 def _placement(config: SingleFaultConfig) -> _Placement:
-    members = set(config.fault.members)
+    members = set(config.members)
     order = config.sigma.order
     if order[0] not in members:
         return _Placement.SUFFIX if all(v in members for v in order[1:]) else _Placement.SPLIT
@@ -203,7 +205,7 @@ _FAST_CONFLICT = {
 def betweenness_single_fault_conflict(config: SingleFaultConfig) -> bool:
     """Conflict verdict for a BETWEENNESS single fault on r+1 vertices."""
     _require_arity_plus_one(config, Family.BETWEENNESS)
-    key = (_placement(config), _pattern(config.fault, config.sigma))
+    key = (_placement(config), _pattern(config.members, config.selected, config.sigma))
     return _BETWEENNESS_CONFLICT[key]
 
 
@@ -253,7 +255,7 @@ def predicted_non_conflicts(
     else:
         return None
     return tuple(
-        (config.fault.members, config.fault.selected)
+        (config.members, config.selected)
         for config in enumerate_single_fault_configs(kind, size)
         if not table(config)
     )
@@ -332,15 +334,5 @@ def verify_simple_characterization(
         config = config_at(idx)
         checked += 1
         if not oracle.is_conflict(config.instance, range(size), cap=oracle_cap):
-            bad.append((config.fault.members, config.fault.selected))
+            bad.append((config.members, config.selected))
     return CharacterizationReport(kind, size, checked, space, exhaustive, tuple(bad))
-
-
-def first_block_witness(kind: ProblemKind, size: int) -> SingleFaultConfig:
-    """The known FAST non-conflict shape: one fault on the first r
-    consecutive vertices of an identity-ordered instance."""
-    if kind.family is not Family.FAST:
-        raise SemanticsError("the first-block witness is a FAST construction")
-    members = tuple(range(kind.r))
-    values = violating_selected_values(kind, members, Ranking.identity(size))
-    return single_fault_config(kind, size, members, values[0])

@@ -35,10 +35,6 @@ class PreconditionError(DenseRankError):
     """A documented operation precondition does not hold."""
 
 
-class ClassificationError(DenseRankError):
-    """Compatibility classification asked for a satisfied constraint."""
-
-
 class ConfigError(DenseRankError):
     """Generator or verification configuration is unusable."""
 

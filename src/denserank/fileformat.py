@@ -58,8 +58,8 @@ from .model import (
     Instance,
     ProblemKind,
     batch_valid,
-    constraint_from_row,
     nth_combination,
+    selected_datum,
     selected_width,
     subsets,
     validate_constraint,
@@ -230,7 +230,7 @@ def _record_error(
     if members in earlier or seen is not None and seen[Instance._rank(n, r, members)]:
         return DuplicateRecordError(f"second record for subset {members}", lineno)
     try:
-        validate_constraint(kind, constraint_from_row(kind, members, values[r:]))
+        validate_constraint(kind, members, selected_datum(kind, values[r:]))
     except InvalidConstraintError as err:
         return SelectedValueError(str(err), lineno)
     earlier.add(members)

@@ -13,7 +13,7 @@ A fault is a row: the drivers hold faults as the indices of the
 violated rows of that mask, a center is one such row (the same row of
 `Instance.selected`), and an edit writes the satisfied datum into that
 row of a copy of the table, which the trace record then reads back.
-No `Constraint` object is built on the way.
+The drivers build no constraint record on the way.
 
 Two drivers are provided.  `kernelize_characterized` works for the
 families whose single faults certify bounded conflicts (BETWEENNESS,

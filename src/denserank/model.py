@@ -13,9 +13,13 @@ constraint families are supported:
 An instance stores its selected data as one read-only int64 table with
 one row per r-subset in lexicographic order, the members of row i being
 row i of `subsets(n, r)`, so all downstream behaviour is deterministic.
-Outside data is checked once, by `Instance(...)` or the file parser,
-with the selected-data rule written here as a scalar
-(`validate_constraint`) and a batch (`batch_valid`), next to the
+Inside the package a constraint is a row of that table, and
+`selected_datum` reads a row's datum as one id (FAST) or a tuple.
+`Constraint` is only the form of data at the edge: `Instance(...)`
+reads it, and `Instance.replace` and `inconsistent_constraints` still
+speak it.  Outside data is checked once, by `Instance(...)` or the file
+parser, with the selected-data rule written here as a scalar over row
+fields (`validate_constraint`) and a batch (`batch_valid`), next to the
 lexicographic subset rank (`Instance._rank`, batch `Instance._ranks`
 in int64).
 
@@ -36,7 +40,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb, factorial
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -127,11 +131,14 @@ class Constraint:
     selected: SelectedData
 
 
-def validate_constraint(kind: ProblemKind, c: Constraint) -> None:
-    m = c.members
+def validate_constraint(
+    kind: ProblemKind, members: tuple[VertexId, ...], selected: SelectedData
+) -> None:
+    """Raise InvalidConstraintError unless `members` are r strictly
+    increasing ids and `selected` is a datum of the family on them."""
+    m, sel = members, selected
     if len(m) != kind.r or any(m[i] >= m[i + 1] for i in range(len(m) - 1)):
         raise InvalidConstraintError(f"members must be {kind.r} strictly increasing ids: {m}")
-    sel = c.selected
     if kind.family is Family.FAST:
         if not isinstance(sel, int) or sel not in m:
             raise InvalidConstraintError(f"FAST selected must be one member, got {sel!r} for {m}")
@@ -226,9 +233,10 @@ def _rank_terms(n: int, r: int) -> np.ndarray:
     return terms
 
 
-def constraint_from_row(kind: ProblemKind, members: tuple[VertexId, ...], row: list) -> Constraint:
-    """The constraint on `members` whose selected datum is a table row."""
-    return Constraint(members, row[0] if kind.family is Family.FAST else tuple(row))
+def selected_datum(kind: ProblemKind, row: list) -> SelectedData:
+    """The selected datum a table row holds: one id for FAST, a tuple
+    otherwise."""
+    return row[0] if kind.family is Family.FAST else tuple(row)
 
 
 class Instance:
@@ -241,7 +249,7 @@ class Instance:
             raise EmptyInstanceError(f"need at least r={kind.r} vertices, got n={n}")
         by_members: dict[tuple[VertexId, ...], SelectedData] = {}
         for c in constraints:
-            validate_constraint(kind, c)
+            validate_constraint(kind, c.members, c.selected)
             if any(v < 0 or v >= n for v in c.members):
                 raise DensityError(f"constraint members {c.members} outside 0..{n - 1}")
             if c.members in by_members:
@@ -276,12 +284,6 @@ class Instance:
     def constraint_count(self) -> int:
         return len(self.selected)
 
-    def constraints(self) -> Iterator[Constraint]:
-        """All constraints, lexicographic by member tuple."""
-        members = itertools.combinations(range(self.n), self.r)
-        rows = self.selected.tolist()
-        return (constraint_from_row(self.kind, m, row) for m, row in zip(members, rows))
-
     def _row(self, members: Iterable[VertexId]) -> tuple[tuple[VertexId, ...], int]:
         """The sorted member tuple and its lexicographic rank."""
         key = tuple(sorted(members))
@@ -307,10 +309,6 @@ class Instance:
             ranks -= terms[i][members[i]]
         return ranks
 
-    def constraint(self, members: Iterable[VertexId]) -> Constraint:
-        key, row = self._row(members)
-        return constraint_from_row(self.kind, key, self.selected[row].tolist())
-
     def replace(self, changes: Mapping[tuple[VertexId, ...], Constraint]) -> "Instance":
         """New instance with the given subsets' constraints swapped out."""
         table = self.selected.copy()
@@ -318,7 +316,7 @@ class Instance:
             key, row = self._row(key)
             if c.members != key:
                 raise InvalidConstraintError(f"replacement members {c.members} != subset {key}")
-            validate_constraint(self.kind, c)
+            validate_constraint(self.kind, c.members, c.selected)
             table[row] = c.selected
         return Instance._from_table(self.n, self.kind, table)
 
@@ -403,10 +401,9 @@ def satisfied_data(kind: ProblemKind, members: np.ndarray, position: np.ndarray)
 def satisfied_selected(
     kind: ProblemKind, members: tuple[VertexId, ...], ranking: Ranking
 ) -> SelectedData:
-    """The one selected datum on `members` that `ranking` satisfies
-    (`satisfied_data` on one row)."""
-    row = satisfied_data(kind, [members], ranking.position)[0].tolist()
-    return constraint_from_row(kind, members, row).selected
+    """The one selected datum on `members` that `ranking` satisfies:
+    `satisfied_data` on one row, read with `selected_datum`."""
+    return selected_datum(kind, satisfied_data(kind, [members], ranking.position)[0].tolist())
 
 
 _WHOLE_ORDERS = 8  # arity up to which `order_violations` scores all orders at once
@@ -460,18 +457,13 @@ def order_violations(inst: Instance) -> np.ndarray:
     return out
 
 
-def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:
-    """Does `ranking` satisfy this constraint?"""
-    return satisfied_selected(kind, c.members, ranking) == c.selected
-
-
 def inconsistent_constraints(oi: OrderedInstance) -> list[Constraint]:
     """Constraints the ranking violates, lexicographic by members."""
     inst = oi.instance
     bad = np.flatnonzero(oi.violated)
     members = map(tuple, subsets(inst.n, inst.r)[bad].tolist())
     rows = inst.selected[bad].tolist()
-    return [constraint_from_row(inst.kind, m, row) for m, row in zip(members, rows)]
+    return [Constraint(m, selected_datum(inst.kind, row)) for m, row in zip(members, rows)]
 
 
 def fault_count(oi: OrderedInstance) -> int:

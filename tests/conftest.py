@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from denserank.characterize import single_fault_config, violating_selected_values
 from denserank.generate import GenerationMode, GeneratorSpec, generate
 from denserank.model import (
     Constraint,
@@ -35,6 +36,14 @@ def consistent_instance(kind, n, sigma=None):
         sigma = Ranking.identity(n)
     subsets = itertools.combinations(range(n), kind.r)
     return Instance(n, kind, [Constraint(m, satisfied_selected(kind, m, sigma)) for m in subsets])
+
+
+def first_block_witness(kind, size):
+    """The known FAST non-conflict shape: one fault on the first r
+    consecutive vertices of an identity-ordered instance."""
+    members = tuple(range(kind.r))
+    values = violating_selected_values(kind, members, Ranking.identity(size))
+    return single_fault_config(kind, size, members, values[0])
 
 
 @pytest.fixture

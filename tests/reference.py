@@ -5,6 +5,13 @@ code: constraint semantics are re-derived from scratch on plain tuples
 and dicts, and the search is a bare loop over itertools.permutations.
 Slow on purpose; keep n at 7 or below.
 
+`constraints`, `constraint` and `evaluate` are the package's
+`Instance.constraints()`, `Instance.constraint(members)` and scalar
+`evaluate` as they were before the package kept `Constraint` for its
+edge alone, kept verbatim (as functions of the instance) for the tests
+that read an instance or judge a ranking one constraint at a time.
+They read the package's table, `Instance._row` and `satisfied_selected`.
+
 `parse` is the line-by-line instance file reader the package used before
 it checked records as one table, kept verbatim as the reference for the
 differential parse test, except that it looks for a missing subset only
@@ -24,8 +31,8 @@ verbatim as the reference for the differential local-search test.  It
 shares only the member table with the package.
 
 `petal_is_single_fault` is the sunflower petal check as it was when it
-looked up each r-subset of the petal with `Instance.constraint` and the
-scalar `evaluate`, before the kernel read one violated mask per ranked
+looked up each r-subset of the petal with `constraint` and the scalar
+`evaluate`, before the kernel read one violated mask per ranked
 instance; kept verbatim (bar its leading underscore) as the reference
 for the differential petal test.  It shares only the scalar verdict and
 the constraint lookup with the package.
@@ -34,8 +41,11 @@ the constraint lookup with the package.
 prefix search replaced it: every ranking scored with the batch verdict,
 in lexicographic blocks of 8! permutations, stopping after the first
 block that holds a consistent ranking.  It is kept verbatim, without
-the vertex cap, as the reference for the differential oracle tests.  It
-shares only the member table with the package.
+the vertex cap, as the reference for the differential oracle tests,
+except that each block is built once per process and kept read-only
+(n = 9 holds 3.3 MB): a block is built when a search first reaches it,
+so the early stop still saves the blocks past it.  It shares only the
+member table with the package.
 
 `generate_with_details` is the instance generator as it was when it
 drew each value from a list of a constraint's selected data and built
@@ -53,6 +63,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from denserank import model
 from denserank.errors import (
     DuplicateRecordError,
     HeaderError,
@@ -71,8 +82,7 @@ from denserank.model import (
     Ranking,
     SelectedData,
     VertexId,
-    constraint_from_row,
-    evaluate,
+    selected_datum,
     selected_width,
     subsets,
     validate_constraint,
@@ -80,6 +90,23 @@ from denserank.model import (
 from denserank.generate import GenerationMode, GeneratorSpec
 from denserank.oracle import ExactResult
 from denserank.rng import SplitMix64
+
+
+def constraints(inst: Instance) -> Iterator[Constraint]:
+    """All constraints, lexicographic by member tuple."""
+    members = itertools.combinations(range(inst.n), inst.r)
+    rows = inst.selected.tolist()
+    return (Constraint(m, selected_datum(inst.kind, row)) for m, row in zip(members, rows))
+
+
+def constraint(inst: Instance, members) -> Constraint:
+    key, row = inst._row(members)
+    return Constraint(key, selected_datum(inst.kind, inst.selected[row].tolist()))
+
+
+def evaluate(kind: ProblemKind, c: Constraint, ranking: Ranking) -> bool:
+    """Does `ranking` satisfy this constraint?"""
+    return model.satisfied_selected(kind, c.members, ranking) == c.selected
 
 
 def _satisfied(family, members, selected, pos):
@@ -95,7 +122,7 @@ def _satisfied(family, members, selected, pos):
 
 
 def _rows(inst):
-    return [(c.members, c.selected) for c in inst.constraints()]
+    return [(c.members, c.selected) for c in constraints(inst)]
 
 
 def faults_under(inst, order):
@@ -177,7 +204,7 @@ def parse(text):
         if members in records:
             raise DuplicateRecordError(f"second record for subset {members}", lineno)
         try:
-            validate_constraint(kind, constraint_from_row(kind, members, values[r:]))
+            validate_constraint(kind, members, selected_datum(kind, values[r:]))
         except InvalidConstraintError as err:
             raise SelectedValueError(str(err), lineno) from None
         records[members] = values[r:]
@@ -286,7 +313,7 @@ def petal_is_single_fault(
     for subset in itertools.combinations(petal, kind.r):
         if subset == center.members:
             continue
-        if not evaluate(kind, oi.instance.constraint(subset), sigma):
+        if not evaluate(kind, constraint(oi.instance, subset), sigma):
             return False
     return True
 
@@ -294,13 +321,22 @@ def petal_is_single_fault(
 _BLOCK = 40320  # 8!, so instances up to n = 8 fit in a single block
 
 
+# n -> (the blocks built so far, the permutation stream they came from)
+_PERM_BLOCKS: dict[int, tuple[list[np.ndarray], Iterator[tuple[int, ...]]]] = {}
+
+
 def _perm_blocks(n: int) -> Iterator[np.ndarray]:
-    stream = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(stream, _BLOCK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int8)
+    """The permutations of 0..n-1 in lexicographic blocks of _BLOCK,
+    read-only, each built the first time a caller reaches it."""
+    blocks, stream = _PERM_BLOCKS.setdefault(n, ([], itertools.permutations(range(n))))
+    for i in itertools.count():
+        if i == len(blocks):
+            block = list(itertools.islice(stream, _BLOCK))
+            if not block:
+                return
+            blocks.append(np.array(block, dtype=np.int8))
+            blocks[i].flags.writeable = False
+        yield blocks[i]
 
 
 def _positions(perms: np.ndarray) -> np.ndarray:

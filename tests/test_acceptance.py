@@ -9,7 +9,7 @@ schedules are seeded and deterministic.
 import itertools
 from pathlib import Path
 
-from conftest import consistent_instance
+from conftest import first_block_witness
 from denserank import fileformat, oracle
 from denserank.approx import (
     degree_gap_slack,
@@ -23,7 +23,6 @@ from denserank.characterize import (
     betweenness_single_fault_conflict,
     enumerate_single_fault_configs,
     fast_single_fault_conflict,
-    first_block_witness,
     verify_simple_characterization,
 )
 from denserank.generate import GenerationMode, GeneratorSpec, generate

@@ -3,33 +3,36 @@ import itertools
 import pytest
 
 import reference
+from conftest import first_block_witness
 from denserank import oracle
 from denserank.characterize import (
     Compatibility,
     SingleFaultConfig,
+    _pattern,
     betweenness_single_fault_conflict,
-    classify_compatibility,
     default_conflict_size,
     enumerate_single_fault_configs,
     fast_single_fault_conflict,
-    first_block_witness,
     predicted_non_conflicts,
     single_fault_config,
     verify_simple_characterization,
     violating_selected_values,
 )
 from denserank.errors import (
-    ClassificationError,
     ConfigError,
+    DensityError,
+    InvalidConstraintError,
     PreconditionError,
     SemanticsError,
 )
 from denserank.model import (
     Constraint,
     Family,
+    Instance,
     OrderedInstance,
     ProblemKind,
     Ranking,
+    satisfied_selected,
 )
 
 B3 = ProblemKind(Family.BETWEENNESS, 3)
@@ -38,24 +41,79 @@ F2 = ProblemKind(Family.FAST, 2)
 F3 = ProblemKind(Family.FAST, 3)
 F4 = ProblemKind(Family.FAST, 4)
 T3 = ProblemKind(Family.TRANSITIVE_FAST, 3)
+T4 = ProblemKind(Family.TRANSITIVE_FAST, 4)
+
+# Every family, with its smallest arity and one more.
+FAULT_KINDS = [F2, F3, B3, B4, T3, T4]
+
+# Selected data that no constraint on members 0..r-1 can carry.
+INVALID_DATA = {
+    Family.FAST: lambda r: [r, -1, (0,)],
+    Family.BETWEENNESS: lambda r: [(r - 1, 0), (0, r), (0, 0), 0],
+    Family.TRANSITIVE_FAST: lambda r: [(0,) * r, tuple(range(r - 1)), tuple(range(1, r + 1))],
+}
 
 
 class TestSingleFaultConfig:
     def test_builder_produces_exactly_one_fault(self):
-        config = single_fault_config(F3, 4, (1, 2, 3), 1)
-        assert config.fault.members == (1, 2, 3)
+        config = single_fault_config(F3, 4, (3, 1, 2), 1)
+        assert config.members == (1, 2, 3)
+        assert config.selected == 1
+        assert config.row == 3
         assert config.instance.n == 4
+        config = single_fault_config(B4, 5, (0, 1, 2, 3), (0, 2))
+        assert (config.row, config.members, config.selected) == (0, (0, 1, 2, 3), (0, 2))
 
     def test_satisfied_fault_is_rejected(self):
         # selected = the identity maximum is the satisfied value
         with pytest.raises(ConfigError):
             single_fault_config(F3, 4, (1, 2, 3), 3)
+        # and for every family: a satisfied datum, members that name no
+        # r-subset of the vertices, and a datum that is no datum of the
+        # members are each refused
+        for kind in FAULT_KINDS:
+            r, size = kind.r, kind.r + 1
+            members = tuple(range(r))
+            satisfied = satisfied_selected(kind, members, Ranking.identity(size))
+            with pytest.raises(ConfigError):
+                single_fault_config(kind, size, members, satisfied)
+            foreign = [
+                (*members[1:], size),  # out of range
+                (-1, *members[1:]),
+                (0, *members[:-1]),  # repeated
+                members[:-1],  # too few
+                (*members, size - 1),  # too many
+            ]
+            for bad in foreign:
+                with pytest.raises(DensityError):
+                    single_fault_config(kind, size, bad, satisfied)
+            for bad in INVALID_DATA[kind.family](r):
+                with pytest.raises(InvalidConstraintError):
+                    single_fault_config(kind, size, members, bad)
 
     def test_constructor_rechecks_premise(self):
         good = single_fault_config(F3, 4, (1, 2, 3), 1)
         extra = good.instance.replace({(0, 1, 2): Constraint((0, 1, 2), 0)})
         with pytest.raises(ConfigError):
-            SingleFaultConfig(OrderedInstance(extra, good.sigma), good.fault)
+            SingleFaultConfig(OrderedInstance(extra, good.sigma), good.row)
+        # for every family, no other row of a single-fault instance, and
+        # no row of one with a second fault, passes for the fault
+        for kind in FAULT_KINDS:
+            size = kind.r + 1
+            for good in enumerate_single_fault_configs(kind, size):
+                assert SingleFaultConfig(good.ordered, good.row) == good
+                for row in range(good.instance.constraint_count()):
+                    if row != good.row:
+                        with pytest.raises(ConfigError):
+                            SingleFaultConfig(good.ordered, row)
+            good = next(enumerate_single_fault_configs(kind, size))
+            other = next(c for c in enumerate_single_fault_configs(kind, size) if c.row != good.row)
+            table = good.instance.selected.copy()
+            table[other.row] = other.instance.selected[other.row]
+            twice = OrderedInstance(Instance._from_table(size, kind, table), good.sigma)
+            for row in (good.row, other.row):
+                with pytest.raises(ConfigError):
+                    SingleFaultConfig(twice, row)
 
     def test_violating_values_exclude_the_satisfied_one(self):
         sigma = Ranking.identity(4)
@@ -73,37 +131,24 @@ class TestSingleFaultConfig:
 class TestCompatibility:
     def test_right_shape(self):
         # members by rank t1..t4, selected {t1, t3}
-        c = Constraint((0, 1, 2, 3), (0, 2))
-        assert classify_compatibility(c, Ranking.identity(5), B4) is Compatibility.RIGHT
+        assert _pattern((0, 1, 2, 3), (0, 2), Ranking.identity(5)) is Compatibility.RIGHT
 
     def test_left_shape(self):
-        c = Constraint((0, 1, 2, 3), (1, 3))
-        assert classify_compatibility(c, Ranking.identity(5), B4) is Compatibility.LEFT
+        assert _pattern((0, 1, 2, 3), (1, 3), Ranking.identity(5)) is Compatibility.LEFT
 
     def test_neither_shape(self):
-        c = Constraint((0, 1, 2, 3), (0, 1))
-        assert classify_compatibility(c, Ranking.identity(5), B4) is Compatibility.NEITHER
+        assert _pattern((0, 1, 2, 3), (0, 1), Ranking.identity(5)) is Compatibility.NEITHER
 
     def test_shapes_follow_the_ranking_not_the_ids(self):
         # under a reversed order the id-wise "right" pair becomes {t_l, t_r}
-        c = Constraint((0, 1, 2, 3), (1, 3))
         reverse = Ranking((4, 3, 2, 1, 0))
-        assert classify_compatibility(c, reverse, B4) is Compatibility.RIGHT
-
-    def test_gates(self):
-        with pytest.raises(SemanticsError):
-            classify_compatibility(Constraint((0, 1, 2), 2), Ranking.identity(4), F3)
-        with pytest.raises(PreconditionError):
-            classify_compatibility(Constraint((0, 1, 2), (0, 1)), Ranking.identity(4), B3)
-        satisfied = Constraint((0, 1, 2, 3), (0, 3))
-        with pytest.raises(ClassificationError):
-            classify_compatibility(satisfied, Ranking.identity(5), B4)
+        assert _pattern((0, 1, 2, 3), (1, 3), reverse) is Compatibility.RIGHT
 
     def test_shapes_are_mutually_exclusive(self):
         sigma = Ranking.identity(6)
         for members in itertools.combinations(range(6), 4):
             for sel in violating_selected_values(B4, members, sigma):
-                shape = classify_compatibility(Constraint(members, sel), sigma, B4)
+                shape = _pattern(members, sel, sigma)
                 assert shape in (Compatibility.RIGHT, Compatibility.LEFT, Compatibility.NEITHER)
 
 
@@ -229,7 +274,3 @@ class TestFirstBlockWitness:
     def test_never_a_conflict_fast_r3(self, size):
         config = first_block_witness(F3, size)
         assert not oracle.is_conflict(config.instance, range(size))
-
-    def test_fast_only(self):
-        with pytest.raises(SemanticsError):
-            first_block_witness(B3, 5)

@@ -32,6 +32,7 @@ from denserank.model import (
 
 F2 = ProblemKind(Family.FAST, 2)
 GOLDEN_KERNEL_DIR = Path(__file__).parent / "golden" / "kernel"
+GOLDEN_LEMMA_DIR = Path(__file__).parent / "golden" / "verify_lemmas"
 
 
 # Sizes where both drop rules, sunflower edits and (fast_r2_n16) a
@@ -61,6 +62,19 @@ GOLDEN_KERNEL_CASES = [
         "betweenness_r4_n9",
         ("betweenness", "4", "9", "2", "1"),
         ("--k", "2", "--provider", "localsearch"),
+    ),
+]
+
+# The default battery and three single-family sweeps; the stdout, which
+# prints selected data both as one id and as a tuple, is frozen byte for
+# byte.
+GOLDEN_LEMMA_CASES = [
+    ("default", ("--slack-instances", "5")),
+    ("fast_r2_size3", ("--family", "fast", "--r", "2", "--size", "3", "--slack-instances", "0")),
+    ("tfast_r4_size5", ("--family", "tfast", "--r", "4", "--size", "5", "--slack-instances", "0")),
+    (
+        "betweenness_r5_size6",
+        ("--family", "betweenness", "--r", "5", "--size", "6", "--slack-instances", "0"),
     ),
 ]
 
@@ -308,6 +322,12 @@ class TestVerifyLemmas:
         )
         assert code == 0
         assert "fast" in out
+
+    @pytest.mark.parametrize("name,argv", GOLDEN_LEMMA_CASES)
+    def test_golden_outputs(self, capsys, name, argv):
+        code, out, err = run(capsys, "verify-lemmas", *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN_LEMMA_DIR / f"{name}.stdout.txt").read_text(encoding="ascii")
 
 
 class TestBench:

@@ -223,10 +223,11 @@ DIFF_MUTATIONS = (
 HEADER_CLAIMS = (lambda n: n + 1, lambda n: 10 * n, lambda n: 10**6, lambda n: 2**64 + 5)
 
 
-def _mutate(data, lines, kind, n):
-    """Apply one drawn change to `lines` in place."""
+def _mutate(data, lines, kind, n, mutation=None):
+    """Apply one change to `lines` in place, of a drawn kind unless given."""
     r = kind.r
-    mutation = data.draw(st.sampled_from(DIFF_MUTATIONS), label="mutation")
+    if mutation is None:
+        mutation = data.draw(st.sampled_from(DIFF_MUTATIONS), label="mutation")
     if mutation == "header":
         # a claim of more subsets than the records: a walk that runs out of
         # records, or no table at all, and past n = 2^63 ids beyond int64
@@ -308,9 +309,9 @@ def _outcome(read, text):
     return inst.n, inst.kind, table.dtype, table.shape, table.tobytes(), table.flags.writeable
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(data=st.data())
-def test_parse_agrees_with_the_line_by_line_reader(data):
+def _agrees_with_the_line_by_line_reader(data, forced=None):
+    """Draw a file, change it (first by the `forced` kind of change, if
+    given), and read it both ways."""
     block_chars = fileformat.BLOCK_CHARS
     if data.draw(st.booleans(), label="large"):
         kind, n = data.draw(st.sampled_from(LARGE), label="kind and n")
@@ -320,12 +321,29 @@ def test_parse_agrees_with_the_line_by_line_reader(data):
     else:
         inst = drawn_instance(data)
     lines = serialize(inst).splitlines()
+    if forced is not None:
+        _mutate(data, lines, inst.kind, inst.n, forced)
     for _ in range(data.draw(st.integers(0, 3), label="mutations")):
         _mutate(data, lines, inst.kind, inst.n)
     newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
     text = newline.join(lines) + newline * data.draw(st.integers(0, 1), label="final newline")
     with mock.patch.object(fileformat, "BLOCK_CHARS", block_chars):
         assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_parse_agrees_with_the_line_by_line_reader(data):
+    _agrees_with_the_line_by_line_reader(data)
+
+
+# Drawn kinds of change come unevenly, some never; these make each
+# kind at least once, then draw more as above.
+@pytest.mark.parametrize("mutation", DIFF_MUTATIONS)
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_parse_agrees_with_the_line_by_line_reader_after_each_kind_of_change(mutation, data):
+    _agrees_with_the_line_by_line_reader(data, mutation)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from conftest import consistent_instance
 from test_cli import GOLDEN_KERNEL_CASES
 from denserank import kernel, model, oracle
 from denserank.approx import DegreeProfile, inc_degree_ranking
-from denserank.characterize import violating_selected_values
+from denserank.characterize import verify_simple_characterization, violating_selected_values
 from denserank.generate import GenerationMode, GeneratorSpec, generate, generate_with_details
 from denserank.errors import (
     KernelDriverError,
@@ -414,7 +414,7 @@ class TestCycleFreeDrops:
         edits = data.draw(st.integers(0, min(8, n * (n - 1) // 2)), label="edits")
         mode = GenerationMode.UNIFORM if edits == 0 else GenerationMode.PLANTED
         inst = generate(GeneratorSpec(F2, n, mode, seed, edits=edits))
-        winner = {c.members: c.selected for c in inst.constraints()}
+        winner = {c.members: c.selected for c in reference.constraints(inst)}
 
         def cyclic(triple):
             return len({winner[pair] for pair in itertools.combinations(triple, 2)}) == 3
@@ -484,7 +484,7 @@ class TestConflictPacking:
         packing = _find_conflict_packing(oi, row_of(inst, (0, 1)), 1)
         new_inst, new_k = _apply_packing_edit(oi, packing, 1)
         assert new_k == 0
-        assert new_inst.constraint((0, 1)).selected == 1
+        assert reference.constraint(new_inst, (0, 1)).selected == 1
         assert oracle.decide(inst, 1) == oracle.decide(new_inst, 0)
 
     def test_group_without_a_cycle_is_rejected(self):
@@ -513,7 +513,8 @@ class TestTrivialInstances:
     @pytest.mark.parametrize("kind", [B3, B4, F2, F3, T3])
     def test_instances_are_shared_and_read_only(self, kind):
         yes_inst, _ = trivial_instance(kind, True)
-        assert yes_inst == Instance(kind.r, kind, consistent_instance(kind, kind.r).constraints())
+        consistent = reference.constraints(consistent_instance(kind, kind.r))
+        assert yes_inst == Instance(kind.r, kind, consistent)
         for yes in (True, False):
             inst, _ = trivial_instance(kind, yes)
             assert trivial_instance(kind, yes)[0] is inst
@@ -756,9 +757,12 @@ class TestFastDriver:
 
 
 def test_kernelize_runs_build_no_constraint(monkeypatch):
-    """Faults stay table rows from the driver to the trace record: once a
-    warm-up run has built the canonical trivial instances, the golden
-    kernelize inputs run with no `Constraint` built, to the same traces."""
+    """Faults stay table rows from the driver to the trace record, and
+    single faults stay rows in the characterization sweeps: the golden
+    kernelize inputs run and materialize their outcomes with no
+    `Constraint` built, cold (the canonical trivial instances built anew)
+    and warm, to the same traces and kernels, and so do exhaustive
+    single-fault sweeps of all three families."""
     runs = []
     for _, (family, r, n, edits, seed), argv in GOLDEN_KERNEL_CASES:
         kind = ProblemKind(Family(family), int(r))
@@ -767,10 +771,11 @@ def test_kernelize_runs_build_no_constraint(monkeypatch):
 
     def kernelize(inst, k):
         if inst.kind.family is Family.FAST:
-            return kernelize_fast(inst, k)
-        return kernelize_characterized(inst, k, local_search_provider)
+            outcome = kernelize_fast(inst, k)
+        else:
+            outcome = kernelize_characterized(inst, k, local_search_provider)
+        return outcome.trace_text(), outcome.materialize(), outcome.edit_count()
 
-    warm = [kernelize(inst, k) for inst, k in runs]
     built = []
     init = Constraint.__init__
 
@@ -779,7 +784,19 @@ def test_kernelize_runs_build_no_constraint(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Constraint, "__init__", counted)
-    outcomes = [kernelize(inst, k) for inst, k in runs]
+    trivial_instance.cache_clear()
+    cold = [kernelize(inst, k) for inst, k in runs]
+    assert trivial_instance.cache_info().currsize > 0
+    warm = [kernelize(inst, k) for inst, k in runs]
+    sweeps = [
+        verify_simple_characterization(ProblemKind(family, r), size)
+        for family, r, size in (
+            (Family.BETWEENNESS, 4, 5),
+            (Family.TRANSITIVE_FAST, 3, 4),
+            (Family.FAST, 3, 4),
+        )
+    ]
     assert built == []
-    assert [o.trace_text() for o in outcomes] == [o.trace_text() for o in warm]
-    assert sum(o.edit_count() for o in outcomes) > 0
+    assert cold == warm
+    assert sum(edits for _, _, edits in warm) > 0
+    assert [len(report.counterexamples) for report in sweeps] == [2, 0, 2]

@@ -48,7 +48,7 @@ class TestMinInconsistencies:
     def test_single_reedit_keeps_opt_at_most_one(self):
         for kind in (B3, T3):
             inst = consistent_instance(kind, 5)
-            current = inst.constraint((0, 1, 2)).selected
+            current = reference.constraint(inst, (0, 1, 2)).selected
             other = next(
                 sel for sel in all_selected_values(kind, (0, 1, 2)) if sel != current
             )
@@ -168,7 +168,7 @@ class TestDecide:
     def test_matches_edition_view(self, uniform):
         # YES at k iff some edition of at most k constraints goes consistent
         inst = uniform(Family.FAST, 2, 4, 3)
-        keys = [c.members for c in inst.constraints()]
+        keys = [c.members for c in reference.constraints(inst)]
 
         def editable(k):
             for count in range(k + 1):
@@ -177,7 +177,7 @@ class TestDecide:
                         [
                             Constraint(m, sel)
                             for sel in all_selected_values(inst.kind, m)
-                            if sel != inst.constraint(m).selected
+                            if sel != reference.constraint(inst, m).selected
                         ]
                         for m in subset
                     ]
