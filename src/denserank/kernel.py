@@ -23,12 +23,13 @@ is kept for the whole run, and its fault count p bounds the output
 size.  `kernelize_fast` is the FAST pipeline: every round recomputes
 the Inc-Degree ranking of the current instance, gates on its fault
 count p (YES at p <= k, NO at p > 5k by the 5-approximation), drops
-always-selected vertices exhaustively, and otherwise flips one violated
-constraint certified by more than k petals, terminating with at most
-p + k + r vertices.  Pair constraints get an extra certificate: when
-single-vertex petals run short, disjoint vertex groups that each close
-a directed cycle with the center stand in for them (the groups need not
-be single-fault, only conflicts).
+always-selected (and at r = 2 cycle-free) vertices exhaustively, all of
+them read off the in-degree profile and removed by one `induced`, and
+otherwise flips one violated constraint certified by more than k
+petals, terminating with at most p + k + r vertices.  Pair constraints
+get an extra certificate: when single-vertex petals run short, disjoint
+vertex groups that each close a directed cycle with the center stand in
+for them (the groups need not be single-fault, only conflicts).
 
 All rule applications land in the outcome's trace, one record per
 application, so a reduction can be replayed or audited line by line.
@@ -402,20 +403,28 @@ def _apply_packing_edit(
     return _certified_edit(oi, packing, k, close_cycles)
 
 
-def always_selected_vertex(inst: Instance) -> Optional[VertexId]:
-    """The vertex selected by every constraint containing it, if any.
-
-    At most one can exist: two of them would meet in some constraint
-    (density), which selects a single vertex.
-    """
-    if inst.kind.family is not Family.FAST:
-        raise SemanticsError("always-selected drops are a FAST rule")
-    containing = comb(inst.n - 1, inst.r - 1)
-    counts = in_degrees(inst).counts
-    hits = [v for v in range(inst.n) if counts[v] == containing]
+def _always_selected(counts, r: int) -> Optional[VertexId]:
+    """The vertex of in-degree C(n-1, r-1), selected by every constraint
+    holding it, if any.  Two would meet in some constraint (density),
+    which selects a single vertex, so more than one fails loudly."""
+    hits = np.flatnonzero(np.asarray(counts) == comb(len(counts) - 1, r - 1)).tolist()
     if len(hits) > 1:
         raise KernelDriverError(f"multiple always-selected vertices {hits} in a dense instance")
     return hits[0] if hits else None
+
+
+def _cycle_free(counts) -> Optional[VertexId]:
+    """The smallest vertex of a pair instance in no cyclic triple, read off
+    the in-degrees `counts` of its tournament (each pair points at the
+    member it selects).  Such a vertex is a strong component on its own,
+    since every vertex of a strong tournament lies on a directed triangle
+    (Moon), and the j lowest in-degrees close a union of components
+    exactly when they sum to C(j, 2) (Landau)."""
+    order = np.argsort(counts, kind="stable")
+    j = np.arange(len(order) + 1)
+    closed = np.concatenate(([0], np.cumsum(np.asarray(counts)[order]))) == j * (j - 1) // 2
+    free = order[closed[:-1] & closed[1:]]
+    return int(free.min()) if free.size else None
 
 
 def _drop(
@@ -438,38 +447,48 @@ def drop_always_selected_vertex(
     reduced instance, the dropped vertex, and the dense relabel map.
     Callers must leave more than r vertices behind.
     """
-    return _drop(inst, always_selected_vertex(inst))
-
-
-def cycle_free_vertex(inst: Instance) -> Optional[VertexId]:
-    """The smallest vertex of a pair instance lying in no cyclic triple.
-
-    Pair constraints split every other vertex into losers (pairs
-    selecting v) and winners (pairs selecting the other member).  When v
-    closes no directed cycle, every loser-winner pair selects the
-    winner, so any optimal ordering of the rest can be rearranged, at no
-    cost, into losers-then-winners; v slots in between for free.
-    Removing v therefore preserves the optimum exactly.
-    """
-    if inst.kind.family is not Family.FAST or inst.kind.r != 2:
-        raise SemanticsError("cycle-free drops apply to FAST pair instances only")
-    # With no 2-cycles, closed walks of length 3 are directed triangles.
-    tournament = _pair_tournament(inst)
-    in_cycle = ((tournament @ tournament) * tournament.T).sum(axis=1) > 0
-    free = np.flatnonzero(~in_cycle)
-    return int(free[0]) if free.size else None
+    if inst.kind.family is not Family.FAST:
+        raise SemanticsError("always-selected drops are a FAST rule")
+    return _drop(inst, _always_selected(in_degrees(inst).counts, inst.r))
 
 
 def drop_cycle_free_vertex(
     inst: Instance,
 ) -> Optional[tuple[Instance, VertexId, dict[VertexId, VertexId]]]:
-    """Remove the smallest cycle-free vertex of a pair instance, if any.
+    """Remove the smallest cycle-free vertex v of a pair instance, if any.
 
-    Exact like the always-selected drop (which it subsumes at r = 2: a
-    vertex winning every pair closes no cycle).  Callers must leave more
-    than r vertices behind.
+    Pair constraints split every other vertex into losers (pairs
+    selecting v) and winners.  When v closes no directed cycle, every
+    loser-winner pair selects the winner, so any optimal ordering of the
+    rest can be rearranged, at no cost, into losers-then-winners with v
+    in between: the drop is exact, and subsumes the always-selected one.
+    Callers must leave more than r vertices behind.
     """
-    return _drop(inst, cycle_free_vertex(inst))
+    if inst.kind.family is not Family.FAST or inst.kind.r != 2:
+        raise SemanticsError("cycle-free drops apply to FAST pair instances only")
+    return _drop(inst, _cycle_free(in_degrees(inst).counts))
+
+
+def _round_drops(inst: Instance) -> tuple[list[tuple[VertexId, str]], list[VertexId]]:
+    """Each (vertex, rule) of a FAST round's exhaustive drops, ids relabelled
+    densely after every drop, and the ids of `inst` kept.  Dropping an
+    always-selected vertex leaves the other in-degrees as they were; a
+    cycle-free one at r = 2 is followed by exactly the vertices of higher
+    in-degree, which each lose one.  The always-selected rule goes first."""
+    r, kept, drops = inst.r, list(range(inst.n)), []
+    counts = np.array(in_degrees(inst).counts, dtype=np.int64)
+    while len(kept) > r:
+        rule, v = "drop-always-selected", _always_selected(counts, r)
+        if v is None and r == 2:
+            rule, v = "drop-cycle-free", _cycle_free(counts)
+        if v is None:
+            break
+        if rule == "drop-cycle-free":
+            counts[counts > counts[v]] -= 1
+        counts = np.delete(counts, v)
+        del kept[v]
+        drops.append((v, rule))
+    return drops, kept
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +753,10 @@ def kernelize_fast(
     the optimum exceeds k), and n <= p + k + r returns REDUCED.  The NO
     gate runs before the size test, which pins every REDUCED output
     under 6k + r vertices.  Past the gates, always-selected vertices are
-    dropped exhaustively; failing that, one violated constraint holding
-    the ranking's last vertex (one must exist once drops dry up) is
-    flipped to agree with the ranking, certified by more than k petals.
+    dropped exhaustively, the whole round read off the in-degree profile
+    and applied by one `induced`; failing that, one violated constraint
+    holding the ranking's last vertex (one must exist once drops dry up)
+    is flipped to agree with the ranking, certified by more than k petals.
 
     Every round drops a vertex, spends a unit of k, or exits, so the
     driver always terminates.  For r >= 3 the petal pool from the
@@ -778,27 +798,18 @@ def kernelize_fast(
         if inst.n <= p + k + kind.r:
             return outcome(Verdict.REDUCED)
 
-        # Drops preserve the optimum exactly; ids are relabelled densely
-        # each time, and the ranking is recomputed at the top anyway.
-        # At r = 2 cycle-free drops subsume always-selected ones, but the
-        # latter stay first so traces name the cheaper rule when it fires.
-        dropped_any = False
-        while inst.n > kind.r:
-            hit = drop_always_selected_vertex(inst)
-            rule = "drop-always-selected"
-            if hit is None and kind.r == 2:
-                hit = drop_cycle_free_vertex(inst)
-                rule = "drop-cycle-free"
-            if hit is None:
-                break
-            reduced, dropped, _ = hit
-            _debug_check(debug_oracle_checks, inst, k, reduced, k, oracle_cap)
-            trace.append(
-                DropRecord(vertex=dropped, n_before=inst.n, n_after=reduced.n, k=k, rule=rule)
-            )
+        # Drops preserve the optimum exactly; the ranking is recomputed at the top.
+        drops, kept = _round_drops(inst)
+        if drops:
+            reduced, step = induced(inst, kept)[0], inst
+            for i, (v, rule) in enumerate(drops):
+                if debug_oracle_checks:  # each drop on its own, as it was made
+                    step, before = _drop(step, v)[0], step
+                    _debug_check(True, before, k, step, k, oracle_cap)
+                trace.append(DropRecord(v, inst.n - i, inst.n - i - 1, k, rule))
+            if debug_oracle_checks and step != reduced:
+                raise KernelDriverError("a round of drops differs from its drops made one by one")
             inst = reduced
-            dropped_any = True
-        if dropped_any:
             continue
 
         certificate, apply_edit, rule = _fast_certificate(oi, faults, k)

@@ -223,12 +223,12 @@ def subsets(n: int, r: int) -> np.ndarray:
 def _rank_terms(n: int, r: int) -> np.ndarray:
     """The (r, n) int64 table of the terms comb(n - 1 - v, r - i) of
     `Instance._ranks` over the ids v in 0..n-1 (read-only).  Slot i of a
-    valid subset holds v >= i; below that the term is never used and could
-    outgrow C(n, r), so it is tabled as 0."""
-    terms = np.array(
-        [[comb(n - 1 - v, r - i) if v >= i else 0 for v in range(n)] for i in range(r)],
-        dtype=np.int64,
-    )
+    valid subset holds i <= v <= n - r + i, so only those terms are
+    computed; below them a term is never used and could outgrow C(n, r),
+    above them it is 0, and both are tabled as 0."""
+    terms = np.zeros((r, n), dtype=np.int64)
+    for i in range(r):
+        terms[i, i : n - r + i + 1] = [comb(n - 1 - v, r - i) for v in range(i, n - r + i + 1)]
     terms.flags.writeable = False
     return terms
 

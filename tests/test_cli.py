@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import json
@@ -497,6 +498,20 @@ def test_golden_kernel_outputs_hold_under_optimize(tmp_path):
         for part in ("stdout", "kernel", "trace"):
             produced = (tmp_path / f"{name}.{part}.txt").read_bytes()
             assert produced == (GOLDEN_KERNEL_DIR / f"{name}.{part}.txt").read_bytes(), name
+
+
+def test_package_holds_no_assert_statement():
+    """`python -O` strips `assert`, so a check written as one would vanish
+    there; every check in the package is an `if` that raises."""
+    package = Path(denserank.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(sources) >= 12 and found == []
 
 
 def test_every_perfbench_trace_target_exists():

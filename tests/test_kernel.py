@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from collections import Counter
 from math import comb
 
 import pytest
@@ -10,7 +11,7 @@ import reference
 from conftest import consistent_instance
 from test_cli import GOLDEN_KERNEL_CASES
 from denserank import kernel, model, oracle
-from denserank.approx import DegreeProfile, inc_degree_ranking
+from denserank.approx import DegreeProfile, in_degrees, inc_degree_ranking
 from denserank.characterize import verify_simple_characterization, violating_selected_values
 from denserank.generate import GenerationMode, GeneratorSpec, generate, generate_with_details
 from denserank.errors import (
@@ -26,10 +27,9 @@ from denserank.kernel import (
     SimpleSunflower,
     Verdict,
     _apply_packing_edit,
+    _cycle_free,
     _find_conflict_packing,
-    always_selected_vertex,
     apply_sunflower_edit,
-    cycle_free_vertex,
     default_conflict_size,
     drop_always_selected_vertex,
     drop_cycle_free_vertex,
@@ -52,6 +52,7 @@ from denserank.model import (
     all_selected_values,
     fault_count,
     inconsistent_constraints,
+    induced,
 )
 
 EDIT_LINE = re.compile(
@@ -356,23 +357,23 @@ def test_violated_mask_is_read_only_and_built_once(monkeypatch, inst, center, fi
 class TestVertexDrops:
     def test_global_winner_is_always_selected(self):
         inst = consistent_instance(F3, 6)
-        assert always_selected_vertex(inst) == 5
+        assert drop_always_selected_vertex(inst)[1] == 5
 
     def test_one_lost_pair_moves_or_removes_the_winner(self):
         inst = consistent_instance(F2, 4).replace({(2, 3): Constraint((2, 3), 2)})
-        assert always_selected_vertex(inst) == 2
+        assert drop_always_selected_vertex(inst)[1] == 2
         inst = inst.replace({(1, 2): Constraint((1, 2), 1)})
-        assert always_selected_vertex(inst) is None
+        assert drop_always_selected_vertex(inst) is None
 
     def test_family_gate(self):
         with pytest.raises(SemanticsError):
-            always_selected_vertex(consistent_instance(B3, 5))
+            drop_always_selected_vertex(consistent_instance(B3, 5))
 
     def test_two_always_selected_vertices_fail_loudly(self, monkeypatch):
         inst = consistent_instance(F2, 4)
         monkeypatch.setattr(kernel, "in_degrees", lambda inst: DegreeProfile((3, 3, 0, 0), 2))
         with pytest.raises(KernelDriverError, match="multiple always-selected"):
-            always_selected_vertex(inst)
+            drop_always_selected_vertex(inst)
 
     def test_drop_preserves_the_optimum(self, planted):
         checked = 0
@@ -391,12 +392,12 @@ class TestVertexDrops:
 class TestCycleFreeDrops:
     def test_pair_instances_only(self):
         with pytest.raises(SemanticsError):
-            cycle_free_vertex(consistent_instance(F3, 5))
+            drop_cycle_free_vertex(consistent_instance(F3, 5))
         with pytest.raises(SemanticsError):
-            cycle_free_vertex(consistent_instance(B3, 5))
+            drop_cycle_free_vertex(consistent_instance(B3, 5))
 
     def test_acyclic_instance_frees_the_smallest_vertex(self):
-        assert cycle_free_vertex(consistent_instance(F2, 5)) == 0
+        assert drop_cycle_free_vertex(consistent_instance(F2, 5))[1] == 0
 
     def test_directed_triangle_frees_nothing(self):
         inst = Instance(
@@ -404,32 +405,33 @@ class TestCycleFreeDrops:
             F2,
             [Constraint((0, 1), 0), Constraint((1, 2), 1), Constraint((0, 2), 2)],
         )
-        assert cycle_free_vertex(inst) is None
+        assert drop_cycle_free_vertex(inst) is None
 
     @settings(derandomize=True, deadline=None)
     @given(data=st.data())
     def test_matches_the_cyclic_triple_definition(self, data):
-        n = data.draw(st.integers(2, 12), label="n")
+        n = data.draw(st.integers(2, 80), label="n")
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
         edits = data.draw(st.integers(0, min(8, n * (n - 1) // 2)), label="edits")
         mode = GenerationMode.UNIFORM if edits == 0 else GenerationMode.PLANTED
         inst = generate(GeneratorSpec(F2, n, mode, seed, edits=edits))
         winner = {c.members: c.selected for c in reference.constraints(inst)}
-
-        def cyclic(triple):
-            return len({winner[pair] for pair in itertools.combinations(triple, 2)}) == 3
-
-        free = [
-            v for v in range(n)
-            if not any(cyclic(t) for t in itertools.combinations(range(n), 3) if v in t)
-        ]
-        assert cycle_free_vertex(inst) == (free[0] if free else None)
+        on_cycle = set()
+        for triple in itertools.combinations(range(n), 3):
+            if len({winner[pair] for pair in itertools.combinations(triple, 2)}) == 3:
+                on_cycle.update(triple)
+        free = [v for v in range(n) if v not in on_cycle]
+        if n > 2:
+            hit = drop_cycle_free_vertex(inst)
+            assert (hit[1] if hit else None) == (free[0] if free else None)
+        # dropping a vertex of a single pair would leave no instance
+        assert _cycle_free(in_degrees(inst).counts) == (free[0] if free else None)
 
     def test_subsumes_the_always_selected_drop(self, uniform):
         for seed in range(40):
             inst = uniform(Family.FAST, 2, 6, seed)
-            if always_selected_vertex(inst) is not None:
-                assert cycle_free_vertex(inst) is not None
+            if drop_always_selected_vertex(inst) is not None:
+                assert drop_cycle_free_vertex(inst) is not None
 
     def test_drop_preserves_the_optimum(self, uniform):
         checked = 0
@@ -744,8 +746,11 @@ class TestFastDriver:
 
         monkeypatch.setattr(oracle, "decide", spy)
         out = kernelize_fast(inst, 1, debug_oracle_checks=True, oracle_cap=cap)
-        assert out.drop_count() > 0
+        assert out.drop_count() > 1
         assert (12 in seen) == checked
+        # one check per drop, on the instances before and after it
+        steps = [(d.n_before, d.n_after) for d in out.trace if isinstance(d, DropRecord)]
+        assert all(pair in zip(seen[::2], seen[1::2]) for pair in steps if pair[0] <= (cap or 12))
 
     def test_materialized_trivials_decide_like_their_verdict(self, planted):
         yes = kernelize_fast(consistent_instance(F2, 5), 1)
@@ -754,6 +759,128 @@ class TestFastDriver:
         no = kernelize_fast(planted(Family.FAST, 2, 7, 11, 3), 0)
         inst, k = no.materialize()
         assert not oracle.decide(inst, k)
+
+
+def chained_drops(inst):
+    """A round of drops made one `drop_*_vertex` call at a time, each on the
+    instance the last one left: (vertex, rule) pairs, kept ids, last instance."""
+    drops, kept = [], list(range(inst.n))
+    while inst.n > inst.r:
+        rule, hit = "drop-always-selected", drop_always_selected_vertex(inst)
+        if hit is None and inst.r == 2:
+            rule, hit = "drop-cycle-free", drop_cycle_free_vertex(inst)
+        if hit is None:
+            break
+        inst, v, _ = hit
+        drops.append((v, rule))
+        del kept[v]
+    return drops, kept, inst
+
+
+ROUND_CASES = [
+    (r, n, mode, edits, seed)
+    for r, sizes in ((2, (20, 40, 80, 150, 300, 600)), (3, (30, 60, 100, 150)))
+    for n in sizes
+    for mode, edits in (
+        (GenerationMode.UNIFORM, 0),
+        (GenerationMode.PLANTED, 5),
+        (GenerationMode.PLANTED, n // 2),
+    )
+    for seed in (0, 1)
+]
+
+
+def test_a_round_of_drops_equals_its_chain_of_single_drops(monkeypatch):
+    """A round drops the vertices, by the rules and in the order, that the
+    single drops take one at a time, and `induced` on its kept ids is the
+    instance the last single drop leaves.  This holds on each input and
+    on every round `kernelize_fast` runs, and with the chain in place of
+    the round the driver writes the same trace and kernel.  The cases are
+    fixed seeds, not hypothesis draws (whose derandomized seed follows the
+    test's source), so the floors on inputs that drop 0, 1 and more
+    vertices, and on drop rounds after an edit, keep their meaning."""
+    round_drops = kernel._round_drops
+    dropped, rounds = Counter(), []
+
+    def chained_round(inst):
+        drops, kept, last = chained_drops(inst)
+        assert round_drops(inst) == (drops, kept)
+        assert not drops or induced(inst, kept)[0] == last
+        rounds.append((inst, len(drops)))
+        return drops, kept
+
+    for r, n, mode, edits, seed in ROUND_CASES:
+        inst = generate(GeneratorSpec(ProblemKind(Family.FAST, r), n, mode, seed, edits=edits))
+        k = max(2, edits // 4)
+        out = kernelize_fast(inst, k)
+        rounds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_round_drops", chained_round)
+            chained = kernelize_fast(inst, k)
+        if not rounds or rounds[0][0] is not inst:  # the driver gated before its drops
+            chained_round(inst)
+        dropped[min(next(size for seen, size in rounds if seen is inst), 2)] += 1
+        dropped["after an edit"] += sum(seen is not inst and size > 0 for seen, size in rounds)
+        assert (out.verdict, out.p0, out.trace_text()) == (
+            chained.verdict,
+            chained.p0,
+            chained.trace_text(),
+        ), (r, n, mode, edits, seed)
+        assert out.materialize() == chained.materialize()
+    assert dropped[0] >= 30 and dropped[1] >= 4 and dropped[2] >= 20, dropped
+    assert dropped["after an edit"] >= 10, dropped
+
+
+@pytest.mark.parametrize("r,n", [(2, 300), (3, 150)])
+def test_a_drop_round_reads_the_profile_and_calls_induced_once(monkeypatch, r, n):
+    """Finding a round's drops builds no instance and no pair tournament;
+    the driver then makes one `induced` call per round that drops."""
+    calls = Counter()
+    for name in ("induced", "_pair_tournament"):
+
+        def spy(*args, _name=name, _original=getattr(kernel, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(kernel, name, spy)
+    inst = generate(GeneratorSpec(ProblemKind(Family.FAST, r), n, GenerationMode.PLANTED, 0, 5))
+    drops, _ = kernel._round_drops(inst)
+    assert len(drops) > 1 and calls == Counter()
+    out = kernelize_fast(inst, 3)
+    kinds = [isinstance(record, DropRecord) for record in out.trace]
+    rounds = sum(1 for i, drop in enumerate(kinds) if drop and (i == 0 or not kinds[i - 1]))
+    assert out.drop_count() > rounds > 0
+    assert calls["induced"] == rounds
+
+
+class TestDebugDropChecks:
+    def two_triangles(self):
+        # directed triangles on 0-2 and on 3-5 below a transitive top 6-9:
+        # the optimum is 2, and the top four vertices drop first
+        return consistent_instance(F2, 10).replace(
+            {(0, 2): Constraint((0, 2), 0), (3, 5): Constraint((3, 5), 3)}
+        )
+
+    def test_a_drop_on_a_cycle_is_caught(self, monkeypatch):
+        inst = self.two_triangles()
+        honest = kernelize_fast(inst, 1, debug_oracle_checks=True)
+        assert honest.verdict is Verdict.TRIVIAL_NO and honest.drop_count() == 4
+        # after the top four, vertex 0 of the first triangle goes too
+        monkeypatch.setattr(kernel, "_cycle_free", lambda counts: 0)
+        with pytest.raises(KernelDriverError, match="changed the answer"):
+            kernelize_fast(inst, 1, debug_oracle_checks=True)
+
+    def test_kept_ids_that_miss_the_drops_are_caught(self, monkeypatch):
+        inst = self.two_triangles()
+        round_drops = kernel._round_drops
+
+        def wrong_kept(inst):
+            drops, kept = round_drops(inst)
+            return drops, kept[:-1] + [inst.n - 1]
+
+        monkeypatch.setattr(kernel, "_round_drops", wrong_kept)
+        with pytest.raises(KernelDriverError, match="differs from its drops made one by one"):
+            kernelize_fast(inst, 1, debug_oracle_checks=True)
 
 
 def test_kernelize_runs_build_no_constraint(monkeypatch):

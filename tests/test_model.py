@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 import types
 
@@ -362,6 +363,19 @@ class TestCombinatorics:
         ranks = Instance._ranks(n, r, subsets(n, r).T)
         assert ranks.dtype == np.int64
         assert ranks.tolist() == list(range(math.comb(n, r)))
+
+    @pytest.mark.parametrize(
+        "n,r", [(2000, 2000), (2000, 1999), (2000, 3), (300, 2), (62, 31), (70, 69)]
+    )
+    def test_rank_terms_match_the_scalar_rank_on_sampled_keys(self, n, r):
+        # the table computes only the terms of ids a valid subset holds
+        sample = random.Random(n * 10_000 + r)
+        keys = [tuple(range(r)), tuple(range(n - r, n))]
+        keys += [tuple(sorted(sample.sample(range(n), r))) for _ in range(40)]
+        ranks = Instance._ranks(n, r, np.array(keys, dtype=np.int64).T)
+        assert ranks.tolist() == [Instance._rank(n, r, key) for key in keys]
+        assert model._rank_terms(n, r).shape == (r, n)
+        assert not model._rank_terms(n, r).flags.writeable
 
     @pytest.mark.parametrize("largest_first", [True, False])
     def test_subsets_tables_match_combinations_in_any_build_order(self, largest_first):
