@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Optional
 
 import numpy as np
 
@@ -62,11 +63,12 @@ def in_degrees(inst: Instance) -> DegreeProfile:
     return DegreeProfile(tuple(counts.tolist()), inst.kind.r)
 
 
-def inc_degree_ranking(inst: Instance) -> Ranking:
-    """Vertices by ascending in-degree, ties by ascending id."""
-    profile = in_degrees(inst)
-    order = sorted(range(inst.n), key=lambda v: (profile.counts[v], v))
-    return Ranking(tuple(order))
+def inc_degree_ranking(inst: Instance, profile: Optional[DegreeProfile] = None) -> Ranking:
+    """Vertices by ascending in-degree, ties by ascending id.  `profile`
+    is `in_degrees(inst)`, passed by a caller that reads it as well."""
+    if profile is None:
+        profile = in_degrees(inst)
+    return Ranking(tuple(np.argsort(profile.counts, kind="stable").tolist()))
 
 
 def left_counts(sigma: Ranking, r: int) -> tuple[int, ...]:

@@ -469,14 +469,17 @@ def drop_cycle_free_vertex(
     return _drop(inst, _cycle_free(in_degrees(inst).counts))
 
 
-def _round_drops(inst: Instance) -> tuple[list[tuple[VertexId, str]], list[VertexId]]:
+def _round_drops(
+    inst: Instance, counts: tuple[int, ...]
+) -> tuple[list[tuple[VertexId, str]], list[VertexId]]:
     """Each (vertex, rule) of a FAST round's exhaustive drops, ids relabelled
-    densely after every drop, and the ids of `inst` kept.  Dropping an
-    always-selected vertex leaves the other in-degrees as they were; a
-    cycle-free one at r = 2 is followed by exactly the vertices of higher
-    in-degree, which each lose one.  The always-selected rule goes first."""
+    densely after every drop, and the ids of `inst` kept, read off its
+    in-degree `counts`.  Dropping an always-selected vertex leaves the
+    other in-degrees as they were; a cycle-free one at r = 2 is followed
+    by exactly the vertices of higher in-degree, which each lose one.
+    The always-selected rule goes first."""
     r, kept, drops = inst.r, list(range(inst.n)), []
-    counts = np.array(in_degrees(inst).counts, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
     while len(kept) > r:
         rule, v = "drop-always-selected", _always_selected(counts, r)
         if v is None and r == 2:
@@ -714,7 +717,8 @@ def _fast_certificate(
     petals widen to conflict packings.
     """
     inst = oi.instance
-    holds_last = (subsets(inst.n, inst.r)[faults] == oi.sigma.last()).any(axis=1)
+    members, last = subsets(inst.n, inst.r)[faults], oi.sigma.last()
+    holds_last = functools.reduce(np.logical_or, [members[:, j] == last for j in range(inst.r)])
     centers = faults[holds_last].tolist()
     if not centers:
         raise KernelDriverError(
@@ -782,7 +786,9 @@ def kernelize_fast(
         )
 
     while True:
-        sigma = inc_degree_ranking(inst)
+        # one in-degree profile per round ranks the vertices and finds the drops
+        profile = in_degrees(inst)
+        sigma = inc_degree_ranking(inst, profile)
         oi = OrderedInstance(inst, sigma)
         faults = np.flatnonzero(oi.violated)
         p = len(faults)
@@ -799,7 +805,7 @@ def kernelize_fast(
             return outcome(Verdict.REDUCED)
 
         # Drops preserve the optimum exactly; the ranking is recomputed at the top.
-        drops, kept = _round_drops(inst)
+        drops, kept = _round_drops(inst, profile.counts)
         if drops:
             reduced, step = induced(inst, kept)[0], inst
             for i, (v, rule) in enumerate(drops):

@@ -25,12 +25,18 @@ in int64).
 
 Each family's rule is written here once and nowhere else:
 `_ranked_datum`, the selected datum that members in ranking order
-satisfy.  `satisfied_data` applies it to a table of member rows under
-one ranking (`satisfied_selected` is its one-row call), and
-`order_violations` to every member order of every constraint.  A
-constraint is violated exactly when its selected datum differs from the
-satisfied one: `OrderedInstance.violated` compares the two tables row by
-row, and everything that judges a ranking reads one of these.
+satisfy.  A ranking is judged in position space: `_ranked_positions`
+gathers each member column's positions and reduces the columns with
+elementwise minima and maxima to the ranked positions the rule reads.
+A constraint is violated exactly when the rule, read off those ranked
+positions, differs from the rule read off the positions of its selected
+data; positions are a bijection of ids, so this is the same verdict as
+comparing ids.  `OrderedInstance.violated` compares the two column by
+column, `satisfied_data` maps the ranked positions back to ids through
+the ranking's order before reading the rule (`satisfied_selected` is
+its one-row call), and `order_violations` applies the rule to every
+member order of every constraint.  Everything that judges a ranking
+reads one of these.
 """
 
 from __future__ import annotations
@@ -348,12 +354,22 @@ class OrderedInstance:
 
     @functools.cached_property
     def violated(self) -> np.ndarray:
-        """Read-only mask of the violated constraints, built on first read:
-        the rows of `selected` that differ from the data the ranking
-        satisfies."""
+        """Read-only mask of the violated constraints, built on first read.
+
+        Judged in position space, one column at a time: the datum that
+        `_ranked_datum` reads off each row's ranked member positions
+        against the one it reads off the positions of the row's selected
+        data, the width columns OR-ed together.  Positions are a
+        bijection of ids, so a row differs here exactly when its selected
+        datum differs from the one the ranking satisfies.
+        """
         inst = self.instance
-        satisfied = satisfied_data(inst.kind, subsets(inst.n, inst.r), self.sigma.position)
-        mask = (satisfied != inst.selected).any(axis=1)
+        kind, position = inst.kind, _narrow(self.sigma.position)
+        satisfied = _ranked_datum(kind, _ranked_positions(kind, subsets(inst.n, inst.r), position))
+        selected = _ranked_datum(kind, position[inst.selected.T].T)
+        mask = satisfied[:, 0] != selected[:, 0]
+        for j in range(1, selected_width(kind)):
+            mask |= satisfied[:, j] != selected[:, j]
         mask.flags.writeable = False
         return mask
 
@@ -376,26 +392,54 @@ def _ranked_datum(kind: ProblemKind, ranked: np.ndarray) -> np.ndarray:
     return ranked
 
 
+def _narrow(position) -> np.ndarray:
+    """A position vector in the narrowest integer type that holds its
+    length: positions are below n."""
+    return np.asarray(position, dtype=np.min_scalar_type(len(position)))
+
+
+def _ranked_positions(kind: ProblemKind, members: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """The positions of each member row's members, first-ranked first.
+
+    `members` is a (C, r) table of distinct vertex ids per row and
+    `position` the ranking's position vector, narrowed by `_narrow`.
+    Returns a (C, m) view whose columns are contiguous, holding only
+    the positions that `_ranked_datum` reads: the last (FAST), the
+    first and last (BETWEENNESS) or all r in rank order
+    (TRANSITIVE_FAST).  Each member column is gathered on its own and
+    the columns are reduced with elementwise minima and maxima, so no
+    row is sorted.
+    """
+    columns = [position[members[:, j]] for j in range(members.shape[1])]
+    if kind.family is Family.FAST:
+        ranked = [functools.reduce(np.maximum, columns)]
+    elif kind.family is Family.BETWEENNESS:
+        ranked = [functools.reduce(np.minimum, columns), functools.reduce(np.maximum, columns)]
+    else:
+        # an insertion network: after step i the first i + 1 columns are in rank order
+        ranked = columns
+        for i in range(1, len(ranked)):
+            for j in range(i, 0, -1):
+                early, late = ranked[j - 1], ranked[j]
+                ranked[j - 1], ranked[j] = np.minimum(early, late), np.maximum(early, late)
+    return np.stack(ranked).T
+
+
 def satisfied_data(kind: ProblemKind, members: np.ndarray, position: np.ndarray) -> np.ndarray:
     """The selected data that a ranking satisfies, one row per member row.
 
     `members` is a (C, r) table of distinct vertex ids per row and
     `position` the ranking's position vector (position[v] is the
     position of vertex v).  Returns the (C, width) int64 table of
-    `_ranked_datum`, one row per constraint.  Only the members that the
-    datum reads are ranked: the last (FAST), the first and last
-    (BETWEENNESS) or all of them (TRANSITIVE_FAST).
+    `_ranked_datum` over the ranked member positions of
+    `_ranked_positions`, mapped back to ids through the ranking's order.
     """
     members = np.asarray(members, dtype=np.int64)
-    # positions are below n, so the narrowest integer type that holds n suffices
-    placed = np.asarray(position, dtype=np.min_scalar_type(len(position)))[members]
-    if kind.family is Family.FAST:
-        picks = placed.argmax(axis=1)[:, None]
-    elif kind.family is Family.BETWEENNESS:
-        picks = np.column_stack((placed.argmin(axis=1), placed.argmax(axis=1)))
-    else:
-        picks = np.argsort(placed, axis=1)
-    return _ranked_datum(kind, np.take_along_axis(members, picks, axis=1))
+    position = _narrow(position)
+    order = np.empty(len(position), dtype=np.int64)
+    order[position] = np.arange(len(position))
+    ranked = order[_ranked_positions(kind, members, position)]
+    return np.ascontiguousarray(_ranked_datum(kind, ranked))
 
 
 def satisfied_selected(
@@ -490,7 +534,10 @@ def induced(
     # and BETWEENNESS pairs stay increasing.
     lookup = np.full(inst.n, -1, dtype=np.int64)
     lookup[kept] = np.arange(len(kept))
-    rows = (lookup[subsets(inst.n, r)] >= 0).all(axis=1)
+    # a row is kept when every member column holds a kept id
+    inside = lookup >= 0
+    members = subsets(inst.n, r)
+    rows = functools.reduce(np.logical_and, [inside[members[:, j]] for j in range(r)])
     return Instance._from_table(len(kept), inst.kind, lookup[inst.selected[rows]]), relabel
 
 

@@ -333,15 +333,15 @@ def test_petal_checks_agree_with_the_per_subset_reference(
 )
 def test_violated_mask_is_read_only_and_built_once(monkeypatch, inst, center, find):
     built = []
-    satisfied_data = model.satisfied_data
+    ranked_positions = model._ranked_positions
 
     def counted(kind, members, position):
         # the edit's one-row call builds no mask
         if len(members) == inst.constraint_count():
             built.append(members)
-        return satisfied_data(kind, members, position)
+        return ranked_positions(kind, members, position)
 
-    monkeypatch.setattr(model, "satisfied_data", counted)
+    monkeypatch.setattr(model, "_ranked_positions", counted)
     oi = OrderedInstance(inst, Ranking.identity(inst.n))
     flower = find(oi, row_of(inst, center), 1)
     apply_sunflower_edit(oi, flower, 1)
@@ -802,9 +802,10 @@ def test_a_round_of_drops_equals_its_chain_of_single_drops(monkeypatch):
     round_drops = kernel._round_drops
     dropped, rounds = Counter(), []
 
-    def chained_round(inst):
+    def chained_round(inst, counts):
+        assert counts == in_degrees(inst).counts
         drops, kept, last = chained_drops(inst)
-        assert round_drops(inst) == (drops, kept)
+        assert round_drops(inst, counts) == (drops, kept)
         assert not drops or induced(inst, kept)[0] == last
         rounds.append((inst, len(drops)))
         return drops, kept
@@ -818,7 +819,7 @@ def test_a_round_of_drops_equals_its_chain_of_single_drops(monkeypatch):
             patch.setattr(kernel, "_round_drops", chained_round)
             chained = kernelize_fast(inst, k)
         if not rounds or rounds[0][0] is not inst:  # the driver gated before its drops
-            chained_round(inst)
+            chained_round(inst, in_degrees(inst).counts)
         dropped[min(next(size for seen, size in rounds if seen is inst), 2)] += 1
         dropped["after an edit"] += sum(seen is not inst and size > 0 for seen, size in rounds)
         assert (out.verdict, out.p0, out.trace_text()) == (
@@ -844,7 +845,7 @@ def test_a_drop_round_reads_the_profile_and_calls_induced_once(monkeypatch, r, n
 
         monkeypatch.setattr(kernel, name, spy)
     inst = generate(GeneratorSpec(ProblemKind(Family.FAST, r), n, GenerationMode.PLANTED, 0, 5))
-    drops, _ = kernel._round_drops(inst)
+    drops, _ = kernel._round_drops(inst, in_degrees(inst).counts)
     assert len(drops) > 1 and calls == Counter()
     out = kernelize_fast(inst, 3)
     kinds = [isinstance(record, DropRecord) for record in out.trace]
@@ -874,8 +875,8 @@ class TestDebugDropChecks:
         inst = self.two_triangles()
         round_drops = kernel._round_drops
 
-        def wrong_kept(inst):
-            drops, kept = round_drops(inst)
+        def wrong_kept(inst, counts):
+            drops, kept = round_drops(inst, counts)
             return drops, kept[:-1] + [inst.n - 1]
 
         monkeypatch.setattr(kernel, "_round_drops", wrong_kept)

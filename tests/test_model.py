@@ -212,6 +212,22 @@ def test_violated_mask_gathers_positions_narrowly():
     assert peak < 1.4e6
 
 
+@pytest.mark.parametrize("kind", [B3, T3], ids=lambda k: k.family.value)
+def test_violated_mask_of_pair_and_order_data_stays_under_the_fast_bound(kind):
+    # the ranked positions and the selected positions are both gathered
+    # narrowly, column by column; sorting id rows peaked at 2.6-2.9 MB here
+    inst = generate(GeneratorSpec(kind, 65, GenerationMode.PLANTED, 1, edits=10))
+    subsets(65, 3)
+    oi = OrderedInstance(inst, Ranking.identity(65))
+    tracemalloc.start()
+    try:
+        mask = oi.violated
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (math.comb(65, 3),)
+    assert peak < 1.4e6
+
 ORDER_KINDS = [
     ProblemKind(family, r)
     for r in range(2, 10)
@@ -246,6 +262,34 @@ def test_order_violations_match_the_scalar_rule_on_every_member_order(kind):
             expected.extend(datum != s for s in selected)
     table = np.array(expected).reshape(math.factorial(r), -1).T
     assert np.array_equal(order_violations(inst), table)
+
+
+# n per arity for the verdict sweep: r = 2 reaches n = 300, where positions
+# no longer fit in uint8; the rest keep C(n, r) near a thousand rows
+VERDICT_N = {2: 300, 3: 20, 4: 14, 5: 12}
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS, ids=lambda k: f"{k.family.value}-r{k.r}")
+def test_verdict_kernel_matches_the_reference_rule_under_three_rankings(kind):
+    r = kind.r
+    n = VERDICT_N.get(r, r + 3)
+    inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, seed=r))
+    rows = reference._rows(inst)
+    family = kind.family.value
+    shuffled = list(range(n))
+    random.Random(r).shuffle(shuffled)
+    for order in (range(n), range(n - 1, -1, -1), shuffled):
+        sigma = Ranking(tuple(order))
+        oi = OrderedInstance(inst, sigma)
+        expected = [not reference._satisfied(family, m, s, sigma.position) for m, s in rows]
+        assert oi.violated.tolist() == expected
+        assert fault_count(oi) == sum(expected)
+        table = satisfied_data(kind, subsets(n, r), sigma.position)
+        assert table.shape == inst.selected.shape and table.flags.c_contiguous
+        assert all(
+            reference._satisfied(family, m, selected_datum(kind, row), sigma.position)
+            for (m, _), row in zip(rows, table.tolist())
+        )
 
 
 @settings(derandomize=True, deadline=None)
