@@ -20,8 +20,13 @@
   whole ranking; placing v moves only the C(n-1, r-1) constraints that
   hold v.  `decide` searches with K = k and stops at the first complete
   ranking.  `min_inconsistencies` takes K from the fault count of a
-  greedy dive and, each time it completes a ranking of cost B, prunes
-  the rest of the search at B - 1.
+  greedy dive, which follows one prefix to a whole ranking, and, each
+  time the search completes a ranking of cost B, prunes the rest of it
+  at B - 1.  Only the settled table depends on the instance: the state
+  transitions depend on (n, r) alone and are built once per pair
+  (`_search_tables`).  A move counts the unplaced members before v with
+  `np.bitwise_count`, so nothing of size 2^n is built and the search
+  has no set-up cost exponential in n.
 
 Both report the lexicographically first optimal ranking: the DP
 rebuilds its witness front to back, each time placing the smallest
@@ -135,6 +140,53 @@ class _Prefixes(NamedTuple):
         return _Prefixes(*(column[rows] for column in self))
 
 
+class _Tables(NamedTuple):
+    """What the prefix search reads that depends only on (n, r)."""
+
+    first: np.ndarray  # (C * width,) the state after placing the smallest unused slot
+    held: np.ndarray  # (n, H) the constraints holding each vertex v
+    low: np.ndarray  # (n, H) bitmask of their members in the slots before v's
+    bits: np.ndarray  # (n,) the bit of each vertex
+    root: _Prefixes  # the empty prefix
+
+
+@functools.lru_cache(maxsize=8)
+def _search_tables(n: int, r: int) -> _Tables:
+    """The state-transition tables of the prefix search over n vertices
+    at arity r (read-only); see `_PrefixSearch` for the layout."""
+    members = subsets(n, r)
+    count = len(members)
+    # level j holds the r! / (r - j)! tuples of j member slots
+    sizes = [factorial(r) // factorial(r - j) for j in range(r)]
+    offset = [0, *itertools.accumulate(sizes)]
+    width = offset[-1]
+    dtype = np.uint16 if count * width <= 1 << 16 else np.int32
+    states = np.arange(count, dtype=dtype)[:, None] * width
+    first = np.empty((count, width), dtype=dtype)
+    for j, size in enumerate(sizes):
+        grown = first[:, offset[j] : offset[j + 1]]
+        grown[:] = np.arange(size, dtype=dtype)
+        if j < r - 1:
+            grown *= r - j
+        grown += offset[min(j + 1, r - 1)]
+    first += states
+    bits = _bits(n)
+    _, held, slot = np.nonzero(members == np.arange(n)[:, None, None])
+    held, slot = held.reshape(n, -1), slot.reshape(n, -1)
+    before = np.arange(r) < slot[..., None]
+    low = np.where(before, bits[members[held]], 0).sum(axis=2)
+    root = _Prefixes(
+        np.zeros((1, 0), dtype=np.int8),
+        np.zeros(1, dtype=np.int64),
+        states.T.copy(),
+        np.zeros(1, dtype=np.int64),
+    )
+    tables = _Tables(first.ravel(), held, low, bits, root)
+    for array in (*tables[:-1], *root):
+        array.flags.writeable = False
+    return tables
+
+
 class _PrefixSearch:
     """The settled table of one instance and the searches over it.
 
@@ -147,73 +199,55 @@ class _PrefixSearch:
     lexicographic too, and placing the last member keeps the state.
 
     A state indexes the flat table: constraint c's tuple of j slots with
-    rank q is c * width + offset[j] + q.  `searched` counts prefixes
-    extended.
+    rank q is c * width + offset[j] + q.  Everything but the table itself
+    depends only on (n, r) and comes from `_search_tables`.  `searched`
+    counts prefixes extended.
     """
 
     def __init__(self, inst: Instance):
-        n, r = inst.n, inst.r
-        members = subsets(n, r)
-        count = len(members)
+        r = inst.r
         levels = [order_violations(inst).astype(np.int8)]
+        count = len(levels[0])
         for j in range(r - 2, -1, -1):
             levels.append(levels[-1].reshape(count, -1, r - j).min(axis=2))
         levels.reverse()
-        sizes = [level.shape[1] for level in levels]
-        offset = [0, *itertools.accumulate(sizes)]
-        width = offset[-1]
         self.settled = np.concatenate(levels, axis=1).ravel()
-        dtype = np.uint16 if count * width <= 1 << 16 else np.int32
-        states = np.arange(count, dtype=dtype)[:, None] * width
-        # first[s]: the state after placing the smallest unused slot of s
-        first = np.empty((count, width), dtype=dtype)
-        for j, size in enumerate(sizes):
-            grown = first[:, offset[j] : offset[j + 1]]
-            grown[:] = np.arange(size, dtype=dtype)
-            if j < r - 1:
-                grown *= r - j
-            grown += offset[min(j + 1, r - 1)]
-        first += states
-        self.first = first.ravel()
-        self.n, self.inst = n, inst
-        self.pop = _popcounts(n)
-        self.bits = _bits(n)
-        # the constraints holding each vertex v (C(n-1, r-1) of them) and
-        # the bitmask of their members in the slots before v's
-        _, held, slot = np.nonzero(members == np.arange(n)[:, None, None])
-        self.held, slot = held.reshape(n, -1), slot.reshape(n, -1)
-        before = np.arange(r) < slot[..., None]
-        self.low = np.where(before, self.bits[members[self.held]], 0).sum(axis=2)
-        self.root = _Prefixes(
-            np.zeros((1, 0), dtype=np.int8),
-            np.zeros(1, dtype=np.int64),
-            states.T.astype(dtype),
-            np.zeros(1, dtype=np.int64),
-        )
+        self.tables = _search_tables(inst.n, r)
+        self.n, self.inst = inst.n, inst
         self.searched = 0
+
+    def _step(
+        self, state: np.ndarray, base, placed, vs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each candidate i, vertex vs[i] placed after the prefix with
+        vertex set placed[i] whose flat states start at state[base[i]]:
+        the constraints it moves, their new states and the bound's
+        increase."""
+        held = self.tables.held[vs]
+        # (gathers index with intp arrays: numpy converts any other type slowly)
+        old = state.take(base + held).astype(np.intp)
+        # v's index among each constraint's unused slots: its unplaced members before v
+        unused = np.bitwise_count(~placed & self.tables.low[vs])
+        new = np.add(self.tables.first.take(old), unused, dtype=np.intp)
+        gain = self.settled.take(new) - self.settled.take(old)
+        return held, new, gain.sum(axis=1, dtype=np.int64)
 
     def extend(self, block: _Prefixes, budget: int) -> _Prefixes:
         """Every one-vertex extension of the block with bound at most
         `budget`, in lexicographic order."""
         order, placed, state, bound = block
         self.searched += len(bound)
-        rows, vs = np.nonzero((placed[:, None] & self.bits) == 0)
-        held = self.held[vs]
-        # (gathers index with intp arrays: numpy converts any other type slowly)
-        old = state.ravel().take(rows[:, None] * state.shape[1] + held).astype(np.intp)
-        # v's index among each constraint's unused slots: its unplaced members before v
-        unused = self.pop.take(~placed[rows, None] & self.low[vs])
-        new = np.add(self.first.take(old), unused, dtype=np.intp)
-        gain = self.settled.take(new) - self.settled.take(old)
-        cost = bound[rows] + gain.sum(axis=1, dtype=np.int64)
+        rows, vs = np.nonzero((placed[:, None] & self.tables.bits) == 0)
+        width = state.shape[1]
+        held, new, gain = self._step(state.ravel(), rows[:, None] * width, placed[rows, None], vs)
+        cost = bound[rows] + gain
         kept = np.flatnonzero(cost <= budget)
-        parent = rows[kept]
+        parent, vs = rows[kept], vs[kept]
         child = state[parent]
-        child[np.arange(len(kept))[:, None], held[kept]] = new[kept]
-        vs = vs[kept]
+        child.put(np.arange(len(kept))[:, None] * width + held[kept], new[kept])
         return _Prefixes(
-            np.column_stack((order[parent], vs.astype(np.int8))),
-            placed[parent] | self.bits[vs],
+            np.concatenate((order[parent], vs[:, None].astype(np.int8)), axis=1),
+            placed[parent] | self.tables.bits[vs],
             child,
             cost[kept],
         )
@@ -228,11 +262,17 @@ class _PrefixSearch:
     def dive(self) -> int:
         """Fault count of the greedy ranking that places, at each step,
         the smallest vertex with the least bound increase."""
-        block = self.root
-        while block.order.shape[1] < self.n - 1:
-            children = self.extend(block, self.inst.constraint_count())
-            block = children.take([int(np.argmin(children.bound))])
-        return int(block.bound[0])
+        state = self.tables.root.state[0].copy()
+        placed, bound = np.int64(0), 0
+        for _ in range(self.n - 1):
+            self.searched += 1
+            vs = np.flatnonzero((placed & self.tables.bits) == 0)
+            held, new, gain = self._step(state, 0, placed, vs)
+            i = int(np.argmin(gain))
+            state.put(held[i], new[i])
+            placed |= self.tables.bits[vs[i]]
+            bound += int(gain[i])
+        return bound
 
     def search(self, budget: int, first: bool) -> Optional[tuple[int, tuple[VertexId, ...]]]:
         """The lexicographically first ranking among those with the
@@ -245,18 +285,22 @@ class _PrefixSearch:
         Each one kept lowers the budget to one below its cost.
         """
         found = None
-        stack = [self.root]
+        # each block with the budget it was made at
+        stack = [(self.tables.root, budget)]
         while stack and budget >= 0:
-            block = stack.pop()
+            block, made = stack.pop()
             if len(block.bound) > _BLOCK:
-                stack.append(block.take(slice(_BLOCK, None)))
+                stack.append((block.take(slice(_BLOCK, None)), made))
                 block = block.take(slice(_BLOCK))
-            # blocks made before the budget last fell may hold prefixes above it
-            block = self.extend(block.take(block.bound <= budget), budget)
+            if made > budget:  # the block may hold prefixes above the fallen budget
+                block = block.take(block.bound <= budget)
+                if not len(block.bound):
+                    continue
+            block = self.extend(block, budget)
             if not len(block.bound):
                 continue
             if block.order.shape[1] < self.n - 1:
-                stack.append(block)
+                stack.append((block, budget))
                 continue
             i = 0 if first else int(np.argmin(block.bound))
             found = int(block.bound[i]), self._complete(block.order[i])

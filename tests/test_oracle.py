@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -297,6 +298,71 @@ def test_prefix_search_matches_enumeration(kind, n, planted, edits, seed, subset
         assert not oracle.decide(inst, search.opt - 1)
         assert oracle.decide(inst, search.opt)
         _check_conflicts(inst, subsets)
+
+
+# Frozen (opt, witness, searched) of `min_by_prefix_search`, so a faster
+# search cannot change how much it searches.  The uniform instances start
+# the search above the optimum: the budget falls three times on the first
+# case and twice on `fast` r = 5.
+SEARCH_PINS = [
+    (B4, 9, None, 1, 89, (5, 0, 6, 3, 1, 4, 2, 8, 7), 21150),
+    (F4, 9, 5, 0, 5, (0, 1, 3, 5, 6, 8, 2, 4, 7), 170),
+    (T4, 8, None, 1, 58, (3, 6, 2, 5, 7, 4, 0, 1), 3379),
+    (ProblemKind(Family.FAST, 5), 8, None, 0, 36, (1, 3, 4, 5, 6, 2, 0, 7), 8439),
+    (ProblemKind(Family.BETWEENNESS, 5), 8, 5, 1, 5, (1, 0, 6, 5, 7, 2, 3, 4), 23),
+    (ProblemKind(Family.TRANSITIVE_FAST, 5), 8, None, 2, 51, (0, 2, 6, 4, 7, 3, 1, 5), 2319),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,edits,seed,opt,witness,searched",
+    SEARCH_PINS,
+    ids=[
+        "betweenness4-uniform", "fast4-planted", "tfast4-uniform",
+        "fast5-uniform", "betweenness5-planted", "tfast5-uniform",
+    ],
+)
+def test_prefix_search_size_is_pinned(kind, n, edits, seed, opt, witness, searched):
+    res = oracle.min_by_prefix_search(_draw(kind, n, edits is not None, edits, seed))
+    assert (res.opt, res.witness.order, res.searched) == (opt, witness, searched)
+
+
+def test_search_tables_are_shared_and_read_only(uniform):
+    a, b = uniform(Family.FAST, 4, 7, 0), uniform(Family.TRANSITIVE_FAST, 4, 7, 1)
+    expected = oracle.min_by_prefix_search(b)
+    tables = oracle._PrefixSearch(a).tables
+    assert oracle._PrefixSearch(b).tables is tables
+    for array in (*tables[:-1], *tables.root):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    oracle.min_by_prefix_search(a)
+    assert oracle.min_by_prefix_search(b) == expected
+
+
+# Kernel-sized instances (ROADMAP item 2): the budget prunes the search to
+# a few hundred prefixes, and nothing it allocates grows like 2^n.
+@pytest.mark.parametrize(
+    "family,edits,searched",
+    [(Family.FAST, 5, [143, 323]), (Family.BETWEENNESS, 6, [59, 77])],
+    ids=["fast3", "betweenness3"],
+)
+def test_prefix_search_decides_at_forty_vertices(planted, family, edits, searched):
+    inst = planted(family, 3, 40, 0, edits)
+    oracle._search_tables.cache_clear()
+    counts = []
+    tracemalloc.start()
+    try:
+        for k in (edits - 1, edits):
+            search = oracle._PrefixSearch(inst)
+            found = search.search(k, first=True)
+            assert (found is not None) == (k == edits)
+            counts.append(search.searched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == searched
+    assert fault_count(OrderedInstance(inst, Ranking(found[1]))) == found[0] <= edits
+    assert peak < 64 << 20
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
