@@ -12,23 +12,35 @@ member order, readers accept any order.
 with one row per field.  A block in the form `serialize` writes,
 only ASCII digits, spaces and line feeds, is tokenized on its bytes with
 numpy: tokens are the runs of digits, each line must hold exactly as
-many as a record has fields, and values are built digit by digit.  Any
-other block (tabs, carriage returns or other line breaks, signs, `_`,
-non-ASCII characters, tokens of 19 or more digits, ids past the int64
-range) is split and converted as `str`, so it is read as before and
-fails as before.  `parse` runs each check over a whole block at once:
-member range, strictly increasing members and valid selected data, then
-lexicographic subset ranks, which place each record and show whether a
-subset repeats one of an earlier block or of its own.  Blocks are placed
-as they are read, so a file is never held as one table of all its
-records, and the walk stops at the first block that fails a check.  Only
-that block is read again, line by line, in the order a line is checked:
-token count, integer tokens, member range, member order, duplicate,
-selected data.  A file that passes every block but holds fewer than
-C(n, r) records is missing the subset of the first unset rank.  So every
-error is the one a line-by-line read raises first.  A header that claims
-more table cells than the file has characters builds no table: its
-records are read line by line from the first one.
+many as a record has fields, and values are built digit by digit, in
+the narrowest integer type that holds the block's longest token (int16
+up to 4 digits, int32 up to 9, else int64), then cast to int64 once.
+Any other block (tabs, carriage returns or other line breaks, signs,
+`_`, non-ASCII characters, tokens of 19 or more digits, ids past the
+int64 range) is split and converted as `str`, so it is read as before
+and fails as before.  `parse` runs each check over a whole block at
+once: member range, strictly increasing members and valid selected
+data, then lexicographic subset ranks, which place each record and show
+whether a subset repeats one of an earlier block or of its own.  Blocks
+are placed as they are read, so a file is never held as one table of
+all its records, and the walk stops at the first block that fails a
+check.  While each block holds exactly the ranks that follow the blocks
+before it, 0, 1, 2, ... as `serialize` writes them, it is copied in as
+one slice: it can repeat no subset.  From the first block that does
+not, each block's subsets are marked, which is how a repeat shows, and
+its records are put at their ranks.  Only a block that fails a check is
+read again, line by line, in the order a line is checked: token count,
+integer tokens, member range, member order, duplicate, selected data.
+A file that passes every block but holds fewer than C(n, r) records is
+missing the subset of the first unset rank.  So every error is the one
+a line-by-line read raises first.  A header that claims more table
+cells than the file has characters builds no table: its records are
+read line by line from the first one.
+
+`serialize` writes every field, member or selected, as an id below n:
+it gathers each id's row of a per-id digit table (the digits after
+padding bytes, then a space), makes each record's last space a line
+feed, drops the padding with one mask and decodes the bytes once.
 
 Serializing then parsing is the identity on instances, and parsing then
 serializing is the identity on canonically ordered files.
@@ -69,28 +81,46 @@ MAGIC = "rcsp"
 VERSION = "1"
 # Characters per tokenizer block, about 3,000 record lines of the benchmark
 # files.  A plain block (see `_convert`) pays a fixed numpy cost per block
-# and a little per byte, and its temporary arrays take about 22 bytes per
+# and a little per byte, and its temporary arrays take about 19 bytes per
 # character.  On a uniform `fast` r = 2, n = 300 file (489,000 characters)
-# parse took 12.5 ms with blocks of 6,000 characters, 7.0 ms with 32,768,
-# 6.6 ms with 65,536 and 7.8 ms with 131,072, against 41.7 ms with every
-# block read as str.  65,536 also raised the peak RSS of the benchmark's
-# kernelize-fast workload by 0.3-0.5 MB over that, and 32,768 did not.
-# Any other block goes through `str.split`, which keeps every token of the
-# block alive as a str at once, about 0.6 MB.
+# parse took 6.4 ms with blocks of 6,000 characters, 3.0 ms with 32,768,
+# 2.7 ms with 65,536 and 3.1 ms with 131,072, against 23 ms with every
+# block read as str (medians on a shared 2-core VM).  65,536 also raised
+# the peak RSS of the benchmark's kernelize-fast workload by 0.5 MB over
+# 32,768.  Any other block goes through `str.split`, which keeps every
+# token of the block alive as a str at once, about 0.6 MB.
 BLOCK_CHARS = 32_768
 # The bytes of a plain block, and its longest token: 18 digits always fit
 # in int64, 19 may not.
 _PLAIN = b"0123456789 \n"
 PLAIN_DIGITS = 18
+# The narrowest integer type that holds every number of up to i digits.
+_SUM_TYPES = [np.int16] * 5 + [np.int32] * 5 + [np.int64] * (PLAIN_DIGITS - 9)
 
 _TAGS = {family.value: family for family in Family}
 
 
 def serialize(inst: Instance) -> str:
     header = f"{MAGIC} {VERSION} {inst.kind.family.value} {inst.n} {inst.kind.r}\n"
-    table = np.hstack([subsets(inst.n, inst.r), inst.selected])
-    record = " ".join(["%d"] * table.shape[1])  # one format for the whole table
-    return header + "\n".join([record] * len(table)) % tuple(table.ravel().tolist()) + "\n"
+    # Every field, member or selected, is an id below n: the records are
+    # rows of one digit table gathered in record order, with the padding
+    # dropped and each record's last space made a line feed.
+    ids = _id_digits(inst.n)
+    r, selected = inst.r, inst.selected
+    chars = np.empty((len(selected), r + selected.shape[1], ids.shape[1]), dtype=np.uint8)
+    np.take(ids, subsets(inst.n, r), axis=0, out=chars[:, :r])
+    np.take(ids, selected, axis=0, out=chars[:, r:])
+    chars[:, -1, -1] = ord("\n")
+    text = chars.ravel()
+    return header + str(memoryview(text[text != 0]), "ascii")
+
+
+def _id_digits(n: int) -> np.ndarray:
+    """The (n, digits + 1) uint8 table whose row v holds the decimal digits
+    of id v right-aligned after NUL bytes, then a space."""
+    digits = len(str(n - 1))
+    text = "".join([str(v).rjust(digits, "\0") + " " for v in range(n)])
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(n, digits + 1)
 
 
 def _chunks(text: str, start: int) -> Iterator[str]:
@@ -135,14 +165,23 @@ def _convert(chunk: str, width: int) -> Optional[np.ndarray]:
         ends[width - 1 :: width][: len(feeds)] > feeds
     ).any():
         return None
-    # Horner over the tokens' digits aligned at their ends: a token shorter
-    # than `back` reads a 0 there, as if it had leading zeros.
-    digits = text - np.uint8(ord("0"))
-    values = np.zeros(len(starts), dtype=np.int64)
+    # Horner over the tokens' digits aligned at their ends, after `longest`
+    # leading zeros so that no index falls before the text: a token shorter
+    # than `back` reads a 0 there, as if it had leading zeros.  The sums
+    # stay below 10**longest, so they run in the narrowest type that holds
+    # that.
+    digits = np.zeros(longest + len(text), dtype=np.uint8)
+    np.subtract(text, np.uint8(ord("0")), out=digits[longest:])
+    ends = ends + longest
+    values = np.zeros(len(starts), dtype=_SUM_TYPES[longest])
     for back in range(longest, 0, -1):
-        values = values * 10 + digits[(ends - back).clip(0)] * (lengths >= back)
+        term = digits[ends - back]
+        if back > 1:  # every token has a last digit
+            term *= lengths >= back
+        values *= 10
+        values += term
     # row-wise checks over a strided table cost several times more
-    return np.ascontiguousarray(values.reshape(-1, width).T)
+    return np.ascontiguousarray(values.reshape(-1, width).T, dtype=np.int64)
 
 
 def _convert_text(chunk: str, width: int) -> Optional[np.ndarray]:
@@ -171,15 +210,25 @@ def _placed(chunks: Iterable[str], kind: ProblemKind, n: int, width: int) -> np.
     record lines of `chunks` hold each r-subset exactly once in valid
     records; else raises the first error of a line-by-line read.  Each
     block is checked and placed as it is converted, so no table of every
-    record is held, and only a block that fails a check is read again."""
+    record is held, and only a block that fails a check is read again.
+    While the blocks hold ranks 0, 1, 2, ... in order, each is copied in
+    as one slice; from the first block that does not, every block's
+    subsets are marked and its rows put at their ranks."""
     r = kind.r
     total = comb(n, r)
     placed = np.full((total, width - r), -1, dtype=np.int64)  # -1: not placed yet
-    seen = np.zeros(total, dtype=bool)  # the subsets of every block converted
+    seen = None  # the subsets of every block converted, once out of order
     records = 0
     for chunk in chunks:
         block = _convert(chunk, width)
         ranks = None if block is None else _block_ranks(kind, n, block)
+        if seen is None:
+            if ranks is not None and (ranks == np.arange(records, records + len(ranks))).all():
+                placed[records : records + len(ranks)] = block[r:].T
+                records += len(ranks)
+                continue
+            seen = np.zeros(total, dtype=bool)
+            seen[:records] = True  # the in-order blocks held exactly these
         if ranks is not None:
             seen[ranks] = True
         # a subset repeated in the block or from an earlier one adds no mark
@@ -190,7 +239,8 @@ def _placed(chunks: Iterable[str], kind: ProblemKind, n: int, width: int) -> np.
             np.put(column, ranks, values)  # unlike `column[ranks] = values`, buffers nothing
         records += len(ranks)
     if records < total:
-        raise _count_error(n, r, records, nth_combination(n, r, int(np.argmin(seen))))
+        first = records if seen is None else int(np.argmin(seen))
+        raise _count_error(n, r, records, nth_combination(n, r, first))
     return placed
 
 

@@ -19,6 +19,11 @@ among the ids that can hold the first one, so a header n past 2^63 reads
 as well.  It shares only the scalar validation rule and the error types
 with the package.
 
+`serialize` is the instance file writer as it was when it formatted the
+whole member-plus-selected table with one `%d` string, kept verbatim as
+the reference for the writer's byte-for-byte test.  It shares only the
+header constants and the member table with the package.
+
 `batch_verdict` is the package's batch verdict as it was before every
 verdict was built on `model.satisfied_data`: one closure per family
 over rows of ranking positions, compiled from an instance.  It is kept
@@ -73,6 +78,7 @@ from denserank.errors import (
     SelectedValueError,
     UnknownFamilyError,
 )
+from denserank.fileformat import MAGIC, VERSION
 from denserank.model import (
     Constraint,
     Family,
@@ -222,6 +228,13 @@ def parse(text):
                 len(lines) + 1,
             ) from None
     return Instance._from_table(n, kind, rows)
+
+
+def serialize(inst: Instance) -> str:
+    header = f"{MAGIC} {VERSION} {inst.kind.family.value} {inst.n} {inst.kind.r}\n"
+    table = np.hstack([subsets(inst.n, inst.r), inst.selected])
+    record = " ".join(["%d"] * table.shape[1])  # one format for the whole table
+    return header + "\n".join([record] * len(table)) % tuple(table.ravel().tolist()) + "\n"
 
 
 def _verdict(family: Family, members: np.ndarray, columns: np.ndarray):

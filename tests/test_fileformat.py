@@ -1,13 +1,16 @@
 
+import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
 from conftest import FORMAT_KINDS, consistent_instance
-from denserank import fileformat
+from denserank import fileformat, model
 from denserank.errors import (
     DuplicateRecordError,
     HeaderError,
@@ -19,11 +22,12 @@ from denserank.errors import (
 )
 from denserank.fileformat import dump, load, parse, serialize
 from denserank.generate import GenerationMode, GeneratorSpec, generate
-from denserank.model import Family, ProblemKind
+from denserank.model import Constraint, Family, Instance, ProblemKind
 
 F2 = ProblemKind(Family.FAST, 2)
 B3 = ProblemKind(Family.BETWEENNESS, 3)
 T3 = ProblemKind(Family.TRANSITIVE_FAST, 3)
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class TestRoundTrips:
@@ -439,3 +443,190 @@ def test_an_invalid_file_is_read_line_by_line_in_one_block_at_most():
         with pytest.raises(DuplicateRecordError):
             parse(text)
     assert 0 < checked.call_count <= block_lines
+
+
+def _block_lines(lines):
+    """The record lines in each tokenizer block of the file `lines` at
+    LARGE_BLOCK_CHARS characters per block."""
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(fileformat, "BLOCK_CHARS", LARGE_BLOCK_CHARS):
+        return [chunk.count("\n") for chunk in fileformat._chunks(text, len(lines[0]) + 1)]
+
+
+# How each file below leaves the lexicographic order that `serialize`
+# writes, after one or more whole blocks in it, and what parse makes of it.
+ORDER_CHANGES = {
+    "repeat": DuplicateRecordError,  # a line of block 2 copies one of block 0
+    "truncated": RecordCountError,  # cut in the middle of block 2
+    "dropped-first": RecordCountError,  # block 1 loses its first line, so starts one rank late
+    "dropped-middle": RecordCountError,  # block 1 loses a middle line
+    "rest-shuffled": None,  # blocks 0 and 1 in order, every later line shuffled
+    "first-shuffled": None,  # block 0 shuffled within itself, the rest in order
+}
+
+
+def _order_changed(lines, change):
+    first, second, third = _block_lines(lines)[:3]
+    lines = list(lines)
+    if change == "repeat":
+        lines[1 + first + second + third // 2] = lines[1 + first // 2]
+    elif change == "truncated":
+        del lines[1 + first + second + third // 2 :]
+    elif change == "dropped-first":
+        del lines[1 + first]
+    elif change == "dropped-middle":
+        del lines[1 + first + second // 2]
+    elif change == "rest-shuffled":
+        rest = lines[1 + first + second :]
+        random.Random(0).shuffle(rest)
+        lines[1 + first + second :] = rest
+    else:
+        head = lines[1 : 1 + first]
+        random.Random(0).shuffle(head)
+        lines[1 : 1 + first] = head
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("change", ORDER_CHANGES)
+@pytest.mark.parametrize("kind,n", LARGE, ids=[f"{k.family.value}{k.r}-n{n}" for k, n in LARGE])
+def test_parse_switches_from_in_order_blocks_as_the_line_by_line_reader(kind, n, change):
+    inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, 0))
+    text = _order_changed(serialize(inst).splitlines(), change)
+    with mock.patch.object(fileformat, "BLOCK_CHARS", LARGE_BLOCK_CHARS):
+        outcome = _outcome(parse, text)
+        assert outcome == _outcome(reference.parse, text)
+        expected = ORDER_CHANGES[change]
+        if expected is None:
+            assert parse(text) == inst
+        else:
+            assert outcome[0] is expected
+
+
+def test_blocks_are_put_at_their_ranks_from_the_first_out_of_order_one():
+    inst = generate(GeneratorSpec(F2, 100, GenerationMode.UNIFORM, 0))
+    lines = serialize(inst).splitlines()
+    blocks = len(_block_lines(lines))
+    for change, put_blocks in [(None, 0), ("first-shuffled", blocks), ("rest-shuffled", blocks - 2)]:
+        text = "\n".join(lines) + "\n" if change is None else _order_changed(lines, change)
+        with mock.patch.object(fileformat, "BLOCK_CHARS", LARGE_BLOCK_CHARS), mock.patch.object(
+            fileformat.np, "put", wraps=fileformat.np.put
+        ) as put:
+            assert parse(text) == inst
+        assert put.call_count == put_blocks  # one column per block at r = 2 `fast`
+
+
+# Digit counts around the integer types of `_convert`'s sums: int16 holds
+# every number of 4 digits, int32 of 9 and int64 of 18; 19 leaves the
+# plain path.
+SUM_WIDTHS = [1, 3, 4, 5, 9, 10, 18, 19]
+
+
+def _converts_alike(chunk, width):
+    """`_convert` and `_convert_text` give the same table, or both None."""
+    fast, text = fileformat._convert(chunk, width), fileformat._convert_text(chunk, width)
+    if text is None:
+        return fast is None
+    return fast is not None and fast.dtype == text.dtype and np.array_equal(fast, text)
+
+
+@pytest.mark.parametrize("digits", SUM_WIDTHS)
+@pytest.mark.parametrize("padded", ["one", "all"])
+def test_zero_padded_tokens_parse_at_every_sum_width(digits, padded):
+    inst = generate(GeneratorSpec(B3, 12, GenerationMode.UNIFORM, 0))
+    records = serialize(inst).splitlines()
+    for i in range(1, len(records)) if padded == "all" else [len(records) // 2]:
+        records[i] = " ".join(token.zfill(digits) for token in records[i].split())
+    text = "\n".join(records) + "\n"
+    assert _outcome(parse, text) == _outcome(reference.parse, text)
+    assert parse(text) == inst
+    assert _converts_alike(text[len(records[0]) + 1 :], 5)
+
+
+LARGE_TOKENS = [
+    "9999", "10000", "32767", "32768", "65536", "0032768",
+    "999999999", "1000000000", "2147483647", "2147483648", "4294967296",
+    "999999999999999999", "0000000000000000007", "9223372036854775807",
+]
+
+
+@pytest.mark.parametrize("token", LARGE_TOKENS)
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_large_tokens_fail_as_the_line_by_line_reader(token, slot):
+    fields = ["0", "2", "2"]
+    fields[slot] = token
+    records = "0 1 1\n" + " ".join(fields) + "\n1 2 2\n"
+    text = header_only(n=3) + records
+    assert _outcome(parse, text) == _outcome(reference.parse, text)
+    assert _converts_alike(records, 3)
+
+
+@pytest.mark.parametrize("token", ["32768", "2147483648", "00000000000000000042"])
+def test_large_tokens_in_a_later_block_fail_as_the_line_by_line_reader(token):
+    lines = serialize(generate(GeneratorSpec(F2, 100, GenerationMode.UNIFORM, 0))).splitlines()
+    middle = len(lines) // 2
+    lines[middle] = lines[middle].rsplit(" ", 1)[0] + " " + token
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(fileformat, "BLOCK_CHARS", LARGE_BLOCK_CHARS):
+        assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
+@pytest.mark.parametrize("kind", [F2, B3, T3], ids=["fast2", "betweenness3", "tfast3"])
+@pytest.mark.parametrize("n", [9, 10, 11, 99, 100, 101])
+def test_serialize_writes_what_the_old_formatter_wrote_as_ids_widen(kind, n):
+    inst = generate(GeneratorSpec(kind, n, GenerationMode.UNIFORM, n))
+    assert serialize(inst) == reference.serialize(inst)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+@pytest.mark.parametrize("n", [3, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_serialize_writes_what_the_old_formatter_wrote_for_one_record(family, n):
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    selected = {
+        Family.FAST: order[-1],
+        Family.BETWEENNESS: tuple(sorted((order[0], order[-1]))),
+        Family.TRANSITIVE_FAST: tuple(order),
+    }[family]
+    inst = Instance(n, ProblemKind(family, n), [Constraint(tuple(range(n)), selected)])
+    assert serialize(inst) == reference.serialize(inst)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.rcsp")), ids=lambda path: path.name)
+def test_serialize_writes_the_golden_files_as_the_old_formatter(path):
+    text = path.read_text(encoding="ascii")
+    inst = parse(text)
+    assert serialize(inst) == reference.serialize(inst) == text
+
+
+def test_a_valid_file_is_placed_block_by_block_with_no_member_table_cached():
+    # as above, with the member-table caches emptied first: a member table
+    # of every subset built during the parse would count against the peak
+    kind = ProblemKind(Family.FAST, 3)
+    inst = generate(GeneratorSpec(kind, 80, GenerationMode.PLANTED, 0, edits=5))
+    text = serialize(inst)
+    whole_table = 4 * inst.constraint_count() * 8
+    model.subsets.cache_clear()
+    model._LARGEST_SUBSETS.clear()
+    tracemalloc.start()
+    try:
+        parsed = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == inst
+    assert peak < whole_table
+
+
+def test_serialize_peaks_below_the_old_formatter():
+    # 44,850 records, 489,000 characters; the `%d` formatter peaked at
+    # 4.05-4.25 MB on this instance
+    inst = generate(GeneratorSpec(F2, 300, GenerationMode.UNIFORM, 1))
+    text = serialize(inst)  # the member table is cached from here on
+    tracemalloc.start()
+    try:
+        again = serialize(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == text
+    assert peak < 3_000_000
