@@ -172,14 +172,14 @@ def batch_valid(kind: ProblemKind, members: np.ndarray, selected: np.ndarray) ->
     (r, C) and `selected` (width, C) hold one field per row, and the
     result is the (C,) mask of the columns that make valid constraints."""
     ok = (members[1:] > members[:-1]).all(axis=0)
-    # every selected id is a member; tfast's r of them must also be distinct
+    if kind.family is Family.TRANSITIVE_FAST:
+        # a permutation of strictly increasing members sorts back to them
+        return ok & (np.sort(selected, axis=0) == members).all(axis=0)
+    # every selected id is a member
     for ids in selected:
         ok &= functools.reduce(np.logical_or, [ids == m for m in members])
     if kind.family is Family.BETWEENNESS:
         ok &= selected[0] < selected[1]
-    elif kind.family is Family.TRANSITIVE_FAST:
-        for i, j in itertools.combinations(range(len(selected)), 2):
-            ok &= selected[i] != selected[j]
     return ok
 
 

@@ -26,7 +26,10 @@
   transitions depend on (n, r) alone and are built once per pair
   (`_search_tables`).  A move counts the unplaced members before v with
   `np.bitwise_count`, so nothing of size 2^n is built and the search
-  has no set-up cost exponential in n.
+  has no set-up cost exponential in n.  Prefixes are extended a block
+  at a time, depth first, and the stack keeps at most one block of at
+  most `_BLOCK` prefixes per depth, so the search holds about
+  n * `_BLOCK` * C constraint states whatever the budget.
 
 Both report the lexicographically first optimal ranking: the DP
 rebuilds its witness front to back, each time placing the smallest
@@ -71,7 +74,7 @@ SUBSET_DP = "subset-dp"
 PREFIX_SEARCH = "prefix-search"
 DEFAULT_CAPS = {SUBSET_DP: 18, PREFIX_SEARCH: 10}
 
-_BLOCK = 1024  # prefixes the search extends at a time
+_BLOCK = 1024  # children per extend, the most prefixes held at one depth; at least n
 _PLACED = 1 << 24  # step cost of a vertex already placed; far above any real sum
 
 
@@ -112,16 +115,6 @@ def _check_cap(engine: str, n: int, cap: Optional[int]) -> None:
         f"exact {engine} over {n} vertices exceeds the cap of {cap}; "
         f"raise the cap explicitly if you really want {work}"
     )
-
-
-@functools.lru_cache(maxsize=8)
-def _popcounts(n: int) -> np.ndarray:
-    """Number of set bits of every n-bit mask (read-only)."""
-    size = np.zeros(1 << n, dtype=np.int8)
-    for j in range(n):
-        np.add(size[: 1 << j], 1, out=size[1 << j : 2 << j])
-    size.flags.writeable = False
-    return size
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +272,31 @@ class _PrefixSearch:
         fewest faults, if at most `budget`; with `first`, the
         lexicographically first ranking with at most `budget` faults.
 
-        Prefixes are extended `_BLOCK` at a time, depth first: a stack
-        holds blocks whose prefixes all precede those of the blocks
-        below them, so complete rankings arrive in lexicographic order.
-        Each one kept lowers the budget to one below its cost.
+        Prefixes are extended depth first.  The stack holds at most one
+        block per depth, deepest on top, and every prefix of a block
+        precedes those of the blocks below it, so complete rankings
+        arrive in lexicographic order.  Each pop extends only as many
+        parents of the top block as make at most `_BLOCK` children and
+        puts the rest back, so memory stays about n * `_BLOCK` * C
+        states whatever the budget.  Each complete ranking kept lowers
+        the budget to one below its cost; a child costs at least its
+        parent, so `extend` drops the children of stacked prefixes
+        above the fallen budget.
         """
         found = None
-        # each block with the budget it was made at
-        stack = [(self.tables.root, budget)]
+        stack = [self.tables.root]
         while stack and budget >= 0:
-            block, made = stack.pop()
-            if len(block.bound) > _BLOCK:
-                stack.append((block.take(slice(_BLOCK, None)), made))
-                block = block.take(slice(_BLOCK))
-            if made > budget:  # the block may hold prefixes above the fallen budget
-                block = block.take(block.bound <= budget)
-                if not len(block.bound):
-                    continue
+            block = stack.pop()
+            depth = block.order.shape[1]
+            split = _BLOCK // (self.n - depth)  # parents whose children fill one block
+            if len(block.bound) > split:
+                stack.append(block.take(slice(split, None)))
+                block = block.take(slice(split))
             block = self.extend(block, budget)
             if not len(block.bound):
                 continue
-            if block.order.shape[1] < self.n - 1:
-                stack.append((block, budget))
+            if depth + 1 < self.n - 1:
+                stack.append(block)
                 continue
             i = 0 if first else int(np.argmin(block.bound))
             found = int(block.bound[i]), self._complete(block.order[i])
@@ -397,7 +393,7 @@ def _subset_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
         raise SemanticsError(f"the subset DP needs arity <= 3, got r={inst.r}")
     n = inst.n
     cost = _step_costs(inst)
-    size = _popcounts(n)
+    size = np.bitwise_count(np.arange(1 << n))
     by_size = np.argsort(size, kind="stable")
     starts = np.searchsorted(size[by_size], np.arange(n + 1))
     bits = _bits(n)

@@ -333,6 +333,25 @@ def test_batch_record_checks_agree_with_their_scalar_forms(kind, data):
         assert Instance._ranks(n, r, table[increasing, :r].T).tolist() == expected
 
 
+def test_tfast_batch_check_agrees_at_arity_one_thousand():
+    """One sort checks a selected permutation at any arity: a valid one,
+    one with a repeated id and one with an id outside the members."""
+    kind, r = ProblemKind(Family.TRANSITIVE_FAST, 1000), 1000
+    members = np.arange(0, 2 * r, 2)
+    valid = np.random.default_rng(0).permutation(members)
+    repeated, stranger = valid.copy(), valid.copy()
+    repeated[7] = repeated[500]
+    stranger[7] = 1
+    for selected, ok in ((valid, True), (repeated, False), (stranger, False)):
+        assert batch_valid(kind, members[:, None], selected[:, None]).tolist() == [ok]
+        fields = kind, tuple(members.tolist()), tuple(selected.tolist())
+        if ok:
+            validate_constraint(*fields)
+        else:
+            with pytest.raises(InvalidConstraintError):
+                validate_constraint(*fields)
+
+
 class TestEditWrt:
     """An edit with respect to a ranking writes the one datum on the
     members that the ranking satisfies (`satisfied_selected`)."""

@@ -122,10 +122,11 @@ class TestMinInconsistencies:
 
         monkeypatch.setattr(oracle._PrefixSearch, "extend", counting)
         inst = uniform(Family.BETWEENNESS, 4, 9, 0)  # opt 84 of 126 constraints
-        # nothing is pruned, so the first block of each depth is extended
-        # and the identity, the first whole ranking, ends the search
+        # nothing is pruned, so each depth extends the first
+        # _BLOCK // (n - depth) parents of its block, and the identity, the
+        # first whole ranking, ends the search
         assert oracle.decide(inst, 126)
-        assert extended == [1, 9, 72, 504, 1024, 1024, 1024, 1024]
+        assert extended == [1, 9, 72, 170, 204, 256, 341, 512]
         extended.clear()
         assert not oracle.decide(inst, 83)
         assert sum(extended) == 7344
@@ -305,12 +306,12 @@ def test_prefix_search_matches_enumeration(kind, n, planted, edits, seed, subset
 # the search above the optimum: the budget falls three times on the first
 # case and twice on `fast` r = 5.
 SEARCH_PINS = [
-    (B4, 9, None, 1, 89, (5, 0, 6, 3, 1, 4, 2, 8, 7), 21150),
+    (B4, 9, None, 1, 89, (5, 0, 6, 3, 1, 4, 2, 8, 7), 20615),
     (F4, 9, 5, 0, 5, (0, 1, 3, 5, 6, 8, 2, 4, 7), 170),
-    (T4, 8, None, 1, 58, (3, 6, 2, 5, 7, 4, 0, 1), 3379),
-    (ProblemKind(Family.FAST, 5), 8, None, 0, 36, (1, 3, 4, 5, 6, 2, 0, 7), 8439),
+    (T4, 8, None, 1, 58, (3, 6, 2, 5, 7, 4, 0, 1), 1949),
+    (ProblemKind(Family.FAST, 5), 8, None, 0, 36, (1, 3, 4, 5, 6, 2, 0, 7), 8162),
     (ProblemKind(Family.BETWEENNESS, 5), 8, 5, 1, 5, (1, 0, 6, 5, 7, 2, 3, 4), 23),
-    (ProblemKind(Family.TRANSITIVE_FAST, 5), 8, None, 2, 51, (0, 2, 6, 4, 7, 3, 1, 5), 2319),
+    (ProblemKind(Family.TRANSITIVE_FAST, 5), 8, None, 2, 51, (0, 2, 6, 4, 7, 3, 1, 5), 1337),
 ]
 
 
@@ -363,6 +364,43 @@ def test_prefix_search_decides_at_forty_vertices(planted, family, edits, searche
     assert counts == searched
     assert fault_count(OrderedInstance(inst, Ranking(found[1]))) == found[0] <= edits
     assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("n,bound_mb", [(16, 32), (20, 64)])
+def test_prefix_search_memory_does_not_grow_with_the_budget(planted, n, bound_mb):
+    """At a budget of every constraint almost no child is pruned, yet the
+    search holds at most one block of `_BLOCK` prefixes per depth."""
+    inst = planted(Family.FAST, 3, n, 0, 5)
+    oracle._search_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        found = oracle._PrefixSearch(inst).search(comb(n, 3), first=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fault_count(OrderedInstance(inst, Ranking(found[1]))) == found[0]
+    assert peak < bound_mb << 20
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_prefix_search_across_block_boundaries(family, monkeypatch):
+    """With blocks so small that each depth splits its prefixes, the
+    optimum, its witness and the first ranking within every budget from
+    opt - 1 up to every constraint are still those of lexicographic
+    enumeration."""
+    for r, n, edits in ((4, 6, None), (4, 7, 3), (5, 7, None)):
+        inst = _draw(ProblemKind(family, r), n, edits is not None, edits, 0)
+        orders = list(itertools.permutations(range(n)))
+        faults = [reference.faults_under(inst, order) for order in orders]
+        opt = min(faults)
+        for block in (n, n + 1, 2 * n + 1):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            res = oracle.min_inconsistencies(inst)
+            assert (res.opt, res.witness.order) == (opt, orders[faults.index(opt)])
+            for k in range(opt - 1, comb(n, r) + 1):
+                found = oracle._PrefixSearch(inst).search(k, first=True)
+                i = next((i for i, f in enumerate(faults) if f <= k), None)
+                assert found == (None if i is None else (faults[i], orders[i]))
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
