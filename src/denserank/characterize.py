@@ -308,10 +308,12 @@ def verify_simple_characterization(
     `sample` configurations are drawn without replacement from a seeded
     stream.  Exhausting is the right choice up to a few hundred
     configurations; beyond that (BETWEENNESS at r >= 5, say) sampling
-    keeps the oracle cost sane.
+    keeps the oracle cost sane.  A size the oracle would refuse is
+    refused up front, before any selected datum is listed.
     """
     if size <= kind.r:
         raise ConfigError(f"size must exceed the arity, got size={size} r={kind.r}")
+    oracle._check_cap(oracle._engine(kind), size, oracle_cap)
     subsets, per_subset = _config_space(kind, size)
     space = subsets * per_subset
 

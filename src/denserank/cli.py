@@ -116,16 +116,16 @@ def _characterization_battery(args) -> list[characterize.CharacterizationReport]
             )
         ]
     battery = [
-        (ProblemKind(Family.BETWEENNESS, 3), 4, None),
-        (ProblemKind(Family.TRANSITIVE_FAST, 3), 4, None),
-        (ProblemKind(Family.BETWEENNESS, 4), 5, None),
-        (ProblemKind(Family.FAST, 3), 4, None),
+        ProblemKind(Family.BETWEENNESS, 3),
+        ProblemKind(Family.TRANSITIVE_FAST, 3),
+        ProblemKind(Family.BETWEENNESS, 4),
+        ProblemKind(Family.FAST, 3),
     ]
     return [
         characterize.verify_simple_characterization(
-            kind, size, sample=sample, seed=args.seed, oracle_cap=args.oracle_cap
+            kind, kind.r + 1, seed=args.seed, oracle_cap=args.oracle_cap
         )
-        for kind, size, sample in battery
+        for kind in battery
     ]
 
 

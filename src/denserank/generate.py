@@ -62,6 +62,10 @@ class GeneratorSpec:
                 )
         elif self.edits != 0:
             raise ConfigError("edit count only applies to PLANTED instances")
+        if _value_count(self.kind) > 2**64:
+            raise ConfigError(
+                f"{self.kind.family.value} r={self.kind.r} has more than 2**64 selected data"
+            )
 
 
 def _value_count(kind: ProblemKind) -> int:

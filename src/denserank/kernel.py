@@ -28,8 +28,10 @@ them read off the in-degree profile and removed by one `induced`, and
 otherwise flips one violated constraint certified by more than k
 petals, terminating with at most p + k + r vertices.  Pair constraints
 get an extra certificate: when single-vertex petals run short, disjoint
-vertex groups that each close a directed cycle with the center stand in
-for them (the groups need not be single-fault, only conflicts).
+groups of one to three vertices stand in for them, each taken when its
+union with the center holds a directed triangle (the groups need not be
+single-fault, only conflicts).  `_find_conflict_packing` takes them by
+one greedy rule, and `_apply_packing_edit` re-checks that same rule.
 
 All rule applications land in the outcome's trace, one record per
 application, so a reduction can be replayed or audited line by line.
@@ -289,7 +291,7 @@ def _cyclic_triple(tournament, a: VertexId, b: VertexId, c: VertexId) -> bool:
 
     Each pair selects the member that must be ranked last; the triple is
     unsatisfiable exactly when the pairs chain into a directed cycle,
-    a -> b -> c -> a or its reverse.
+    a -> b -> c -> a or its reverse, so the order of a, b, c is free.
     """
     return tournament[a][b] == tournament[b][c] == tournament[c][a]
 
@@ -300,45 +302,33 @@ def _find_conflict_packing(oi: OrderedInstance, row: int, k: int) -> Optional[Si
 
     Pair constraints only.  Interior single-vertex petals can run dry at
     width two while the instance is still large, so this widens the
-    certificate: any vertex group whose union with the center contains a
-    directed cycle is a conflict through the center, and groups sharing
+    certificate: any vertex group whose union with the center holds a
+    directed triangle is a conflict through the center, and groups sharing
     no vertices overlap pairwise in the center constraint alone.  More
     than k of them force every k-budget solution to edit the center.
 
-    Groups are collected greedily in ranking order, smallest first:
-    single vertices closing a cycle with both center members, then pairs
-    closing a cycle with exactly one member, then free-standing cyclic
-    triples.  They come back as the extras of a sunflower; None when at
-    most k groups are found.
+    Groups of one, two, then three unused vertices are taken greedily in
+    ranking order when they close a directed triangle with 3 - |group|
+    of the center's members.  Once a size is done no unused set of that
+    size closes a triangle with the center, so the rule is the same as
+    "center plus group holds a directed triangle".  The groups are the
+    extras of a sunflower; None when at most k are found.
     """
     inst = oi.instance
     if inst.kind.r != 2:
         raise SemanticsError("conflict packing applies to pair constraints only")
     members = _violated_members(oi, row)
     tournament = _pair_tournament(inst).tolist()
-    u, w = members
     used = set(members)
     groups: list[tuple[VertexId, ...]] = []
-
-    def take(group: tuple[VertexId, ...]) -> None:
-        groups.append(group)
-        used.update(group)
-
-    for s in oi.sigma.order:
-        if s not in used and _cyclic_triple(tournament, u, w, s):
-            take((s,))
-    rest = [v for v in oi.sigma.order if v not in used]
-    for x, y in itertools.combinations(rest, 2):
-        if x in used or y in used:
-            continue
-        if _cyclic_triple(tournament, u, x, y) or _cyclic_triple(tournament, w, x, y):
-            take((x, y))
-    rest = [v for v in rest if v not in used]
-    for x, y, z in itertools.combinations(rest, 3):
-        if x in used or y in used or z in used:
-            continue
-        if _cyclic_triple(tournament, x, y, z):
-            take((x, y, z))
+    for size in (1, 2, 3):
+        for group in itertools.combinations([v for v in oi.sigma.order if v not in used], size):
+            if used.isdisjoint(group) and any(
+                _cyclic_triple(tournament, *group, *extra)
+                for extra in itertools.combinations(members, 3 - size)
+            ):
+                groups.append(group)
+                used.update(group)
     return SimpleSunflower(row, members, tuple(groups)) if len(groups) > k else None
 
 
@@ -386,7 +376,8 @@ def apply_sunflower_edit(
 def _apply_packing_edit(
     oi: OrderedInstance, packing: SimpleSunflower, k: int
 ) -> tuple[Instance, int]:
-    """The certified edit, for groups that must close a directed cycle.
+    """The certified edit, for groups whose union with the center must
+    hold a directed triangle.
 
     A pair has one alternative value, so once the packing shows every
     k-budget solution edits the center, the flip itself is forced; the
@@ -584,6 +575,12 @@ class KernelOutcome:
     p0: int
     trace: tuple[TraceRecord, ...]
 
+    @classmethod
+    def of(cls, verdict: Verdict, inst: Instance, k: int, p0: int, trace) -> KernelOutcome:
+        """The outcome of a run that stopped at (inst, k); only REDUCED keeps them."""
+        kept = (inst, k) if verdict is Verdict.REDUCED else (None, None)
+        return cls(verdict, inst.kind, *kept, p0, tuple(trace))
+
     def trace_text(self) -> str:
         return "\n".join(record.line() for record in self.trace)
 
@@ -676,19 +673,13 @@ def kernelize_characterized(
     p0 = p = len(faults)
     trace: list[TraceRecord] = []
 
-    def outcome(verdict: Verdict) -> KernelOutcome:
-        reduced = verdict is Verdict.REDUCED
-        return KernelOutcome(
-            verdict, kind, inst if reduced else None, k if reduced else None, p0, tuple(trace)
-        )
-
     while True:
         if 0 <= p <= k:
-            return outcome(Verdict.TRIVIAL_YES)
+            return KernelOutcome.of(Verdict.TRIVIAL_YES, inst, k, p0, trace)
         if k < 0:
-            return outcome(Verdict.TRIVIAL_NO)
+            return KernelOutcome.of(Verdict.TRIVIAL_NO, inst, k, p0, trace)
         if inst.n <= p * width + width * (k + 1) + kind.r:
-            return outcome(Verdict.REDUCED)
+            return KernelOutcome.of(Verdict.REDUCED, inst, k, p0, trace)
         flower = find_simple_sunflower(oi, int(faults[0]), k)
         if flower is None:
             raise KernelDriverError(
@@ -712,31 +703,30 @@ def _fast_certificate(
     """(certificate, apply function, rule name) of the next FAST edit.
 
     `faults` are the violated rows in table order.  The first one holding
-    the ranking's last vertex is tried first.  At r = 2, where interior
-    pools can be thin, every violated pair is tried in turn, then the
-    petals widen to conflict packings.
+    the ranking's last vertex is the only center for r >= 3.  At r = 2,
+    where interior pools can be thin, every violated pair is a center,
+    those holding the last vertex first, and the petals then widen to
+    conflict packings over the same centers.
     """
     inst = oi.instance
     members, last = subsets(inst.n, inst.r)[faults], oi.sigma.last()
-    holds_last = functools.reduce(np.logical_or, [members[:, j] == last for j in range(inst.r)])
+    holds_last = (members == last).any(axis=1)
     centers = faults[holds_last].tolist()
     if not centers:
         raise KernelDriverError(
             "after exhaustive drops the last vertex must sit in a violated constraint"
         )
-    flower = find_fast_sunflower(oi, centers[0], k)
-    if flower is not None:
-        return flower, apply_sunflower_edit, "sunflower-edit"
+    finders = [(find_fast_sunflower, apply_sunflower_edit, "sunflower-edit")]
     if inst.r == 2:
         ordered = centers + faults[~holds_last].tolist()
-        for center in ordered[1:]:
-            flower = find_fast_sunflower(oi, center, k)
-            if flower is not None:
-                return flower, apply_sunflower_edit, "sunflower-edit"
+        finders.append((_find_conflict_packing, _apply_packing_edit, "conflict-packing-edit"))
+    else:
+        ordered = centers[:1]
+    for find, apply_edit, rule in finders:
         for center in ordered:
-            packing = _find_conflict_packing(oi, center, k)
-            if packing is not None:
-                return packing, _apply_packing_edit, "conflict-packing-edit"
+            certificate = find(oi, center, k)
+            if certificate is not None:
+                return certificate, apply_edit, rule
     raise KernelDriverError(
         f"no certificate with more than k={k} petals although n={inst.n} "
         f"exceeds p+k+r={len(faults) + k + inst.r}"
@@ -775,15 +765,8 @@ def kernelize_fast(
     """
     if inst.kind.family is not Family.FAST:
         raise SemanticsError("kernelize_fast needs a FAST instance")
-    kind = inst.kind
     p0: Optional[int] = None
     trace: list[TraceRecord] = []
-
-    def outcome(verdict: Verdict) -> KernelOutcome:
-        reduced = verdict is Verdict.REDUCED
-        return KernelOutcome(
-            verdict, kind, inst if reduced else None, k if reduced else None, p0, tuple(trace)
-        )
 
     while True:
         # one in-degree profile per round ranks the vertices and finds the drops
@@ -796,13 +779,13 @@ def kernelize_fast(
             p0 = p
 
         if k < 0:
-            return outcome(Verdict.TRIVIAL_NO)
+            return KernelOutcome.of(Verdict.TRIVIAL_NO, inst, k, p0, trace)
         if p <= k:
-            return outcome(Verdict.TRIVIAL_YES)
+            return KernelOutcome.of(Verdict.TRIVIAL_YES, inst, k, p0, trace)
         if p > 5 * k:
-            return outcome(Verdict.TRIVIAL_NO)
-        if inst.n <= p + k + kind.r:
-            return outcome(Verdict.REDUCED)
+            return KernelOutcome.of(Verdict.TRIVIAL_NO, inst, k, p0, trace)
+        if inst.n <= p + k + inst.r:
+            return KernelOutcome.of(Verdict.REDUCED, inst, k, p0, trace)
 
         # Drops preserve the optimum exactly; the ranking is recomputed at the top.
         drops, kept = _round_drops(inst, profile.counts)

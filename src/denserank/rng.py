@@ -11,6 +11,7 @@ generated from a seed are reproducible across implementations:
 
 * ``below(bound)`` draws 64-bit words and rejects values of
   ``2**64 - (2**64 % bound)`` and above, then reduces modulo ``bound``.
+  A word has 2**64 values, so ``bound`` must lie in 1..2**64.
 * ``below_many(bound, count)`` is ``count`` successive ``below(bound)``
   calls, returned as one array.  SplitMix64 is counter-based (word i of
   the stream mixes ``seed + i * gamma``), so the block is computed from
@@ -26,6 +27,14 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+def _limit(bound: int) -> int:
+    """The rejection limit of `below(bound)`, the largest multiple of
+    `bound` up to 2**64; past 2**64 it would be 0 and accept no word."""
+    if not 0 < bound <= _MASK + 1:
+        raise ValueError(f"bound must lie in 1..2**64, got {bound}")
+    return _MASK + 1 - ((_MASK + 1) % bound)
 
 
 class SplitMix64:
@@ -44,10 +53,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection; bound must be positive."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        limit = _MASK + 1 - ((_MASK + 1) % bound)
+        """Uniform integer in [0, bound) via rejection, for 1 <= bound <= 2**64."""
+        limit = _limit(bound)
         while True:
             word = self.next_u64()
             if word < limit:
@@ -56,19 +63,18 @@ class SplitMix64:
     def below_many(self, bound: int, count: int) -> np.ndarray:
         """The values of `count` successive `below(bound)` calls, as a
         uint64 array, leaving the stream where those calls would."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        limit = _MASK + 1 - ((_MASK + 1) % bound)
+        limit = _limit(bound)
         with np.errstate(over="ignore"):
             z = np.uint64(self._state) + np.uint64(_GAMMA) * np.arange(1, count + 1, dtype=np.uint64)
             z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         words = z ^ (z >> np.uint64(31))
-        # a power-of-two bound has limit 2**64 and rejects nothing
+        # a power-of-two bound has limit 2**64 and rejects nothing, and
+        # the bound 2**64 itself leaves every word as it is
         rejected = np.flatnonzero(words >= np.uint64(limit)) if limit <= _MASK else ()
         taken = int(rejected[0]) if len(rejected) else count
         self._state = (self._state + taken * _GAMMA) & _MASK
-        values = words[:taken] % np.uint64(bound)
+        values = words[:taken] % np.uint64(bound) if bound <= _MASK else words[:taken]
         if taken == count:
             return values
         rest = [self.below(bound) for _ in range(count - taken)]

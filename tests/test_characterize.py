@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 import reference
-from conftest import first_block_witness
+from conftest import consistent_instance, first_block_witness
 from denserank import oracle
 from denserank.characterize import (
     Compatibility,
@@ -21,6 +22,7 @@ from denserank.characterize import (
 from denserank.errors import (
     ConfigError,
     DensityError,
+    EnumerationCapError,
     InvalidConstraintError,
     PreconditionError,
     SemanticsError,
@@ -244,6 +246,22 @@ class TestCharacterizationSweeps:
     def test_size_gate(self):
         with pytest.raises(ConfigError):
             verify_simple_characterization(F3, 3)
+
+    def test_cap_refusal_comes_before_any_selected_datum_is_listed(self):
+        # tfast r = 10 has 10! selected data per constraint; listing them
+        # (as the sweep does for every configuration) takes hundreds of MB
+        t10 = ProblemKind(Family.TRANSITIVE_FAST, 10)
+        with pytest.raises(EnumerationCapError) as oracle_refusal:
+            oracle.decide(consistent_instance(t10, 11), 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError) as refusal:
+                verify_simple_characterization(t10, 11, sample=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refusal.value) == str(oracle_refusal.value)
+        assert peak < 2**20
 
     def test_report_summary_mentions_counts(self):
         report = verify_simple_characterization(F3, 4)

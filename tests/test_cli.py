@@ -108,6 +108,11 @@ class TestGen:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_value_count_past_two_to_the_64_exits_4(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "tfast", "--r", "21", "--n", "21")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: tfast r=21 ") and err.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         path = gen_file(
             capsys, tmp_path, "b.rcsp", "--family", "betweenness", "--n", "5", "--seed", "3"
@@ -324,6 +329,15 @@ class TestVerifyLemmas:
         assert code == 0
         assert "fast" in out
 
+    def test_cap_refusal_exits_5_before_the_sweep(self, capsys):
+        code, out, err = run(
+            capsys, "verify-lemmas", "--family", "tfast", "--r", "10", "--size", "11",
+            "--sample", "1", "--slack-instances", "0",
+        )
+        assert (code, out) == (5, "")
+        assert err.startswith("error: exact prefix-search over 11 vertices exceeds the cap of 10;")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("name,argv", GOLDEN_LEMMA_CASES)
     def test_golden_outputs(self, capsys, name, argv):
         code, out, err = run(capsys, "verify-lemmas", *argv)
@@ -523,6 +537,21 @@ def test_every_perfbench_trace_target_exists():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.Tracer().missing == []
+
+
+def test_output_digest_does_not_depend_on_the_pool_directory(tmp_path):
+    """`tools/output_digest.py` hashes what each benchmark request prints
+    and writes; where the pool was written must not enter the digest."""
+    path = Path(__file__).parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    output_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(output_digest)
+    workload = output_digest.workloads.WORKLOADS["kernelize-fast"]
+    digests = set()
+    for name in ("a", "another-pool"):
+        (tmp_path / name).mkdir()
+        digests.add(output_digest.workload_digest(workload, 1, tmp_path / name))
+    assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 @pytest.mark.skipif(

@@ -44,6 +44,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             GeneratorSpec(F2, 5, GenerationMode.UNIFORM, 0, edits=1)
 
+    @pytest.mark.parametrize("mode,edits", [(GenerationMode.UNIFORM, 0), (GenerationMode.PLANTED, 1)])
+    def test_tfast_draws_reach_arity_twenty_and_stop_at_twenty_one(self, mode, edits):
+        # 20! < 2**64 < 21!: a selected datum is one draw below the value count
+        t20 = ProblemKind(Family.TRANSITIVE_FAST, 20)
+        inst, base, _ = generate_with_details(GeneratorSpec(t20, 21, mode, 3, edits=edits))
+        assert inst.n == 21 and len(inst.selected) == 21
+        if base is not None:
+            assert fault_count(OrderedInstance(inst, base)) == 1
+        with pytest.raises(ConfigError, match="more than 2\\*\\*64 selected data"):
+            GeneratorSpec(ProblemKind(Family.TRANSITIVE_FAST, 21), 21, mode, 3, edits=edits)
+
 
 class TestDeterminism:
     def test_same_spec_same_instance(self, any_family):
@@ -167,16 +178,21 @@ class TestDrawOrder:
 
 
 class TestBlockDraws:
-    @pytest.mark.parametrize("bound", [2**63 + 1, 2**16, 1, 3, 720])
+    @pytest.mark.parametrize("bound", [2**64, 2**64 - 1, 2**63 + 1, 2**16, 1, 3, 720])
     @pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
     def test_below_many_equals_scalar_draws(self, bound, seed):
-        # 2**63 + 1 rejects about half the words; a power of two never rejects
+        # 2**63 + 1 rejects about half the words; a power of two never
+        # rejects, and 2**64 returns every word as it is
         for count in (0, 1, 40):
             block, scalar = SplitMix64(seed), SplitMix64(seed)
             values = block.below_many(bound, count)
             assert values.tolist() == [scalar.below(bound) for _ in range(count)]
             assert block.next_u64() == scalar.next_u64()
 
-    def test_below_many_rejects_a_bad_bound(self):
-        with pytest.raises(ValueError):
-            SplitMix64(0).below_many(0, 3)
+    @pytest.mark.parametrize("bound", [0, -1, 2**64 + 1, 2**65])
+    def test_both_draws_reject_a_bound_outside_one_to_two_to_the_64(self, bound):
+        # past 2**64 the rejection limit is 0, so the scalar draw used to loop forever
+        with pytest.raises(ValueError, match="bound must lie in"):
+            SplitMix64(0).below(bound)
+        with pytest.raises(ValueError, match="bound must lie in"):
+            SplitMix64(0).below_many(bound, 3)

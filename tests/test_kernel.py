@@ -54,6 +54,7 @@ from denserank.model import (
     inconsistent_constraints,
     induced,
 )
+from denserank.rng import SplitMix64
 
 EDIT_LINE = re.compile(
     r"^rule=[a-z-]+ center=\d+(,\d+)* selected=[\d,]+->[\d,]+ k=\d+->\d+ petals=\d+$"
@@ -500,6 +501,51 @@ class TestConflictPacking:
         oi = OrderedInstance(inst, Ranking.identity(6))
         with pytest.raises(RuleInapplicableError):
             _apply_packing_edit(oi, SimpleSunflower(row_of(inst, (0, 1)), (0, 1), ((2,), (3,))), 2)
+
+
+def reference_packing(inst, order, members):
+    """The conflict packing around the center `members` by its definition:
+    group sizes 1, 2, 3 in turn, each in ranking `order`, taking every
+    group that shares no vertex with the center or a taken group and
+    whose union with the center no ordering satisfies, tried by brute
+    force over its at most 5 vertices."""
+    winner = {c.members: c.selected for c in reference.constraints(inst)}
+
+    def conflict(vertices):
+        pairs = [(a, b, winner[a, b]) for a, b in itertools.combinations(sorted(vertices), 2)]
+        for ordering in itertools.permutations(vertices):
+            pos = {v: i for i, v in enumerate(ordering)}
+            if all(pos[s] == max(pos[a], pos[b]) for a, b, s in pairs):
+                return False
+        return True
+
+    used, groups = set(members), []
+    for size in (1, 2, 3):
+        for group in itertools.combinations(order, size):
+            if used.isdisjoint(group) and conflict(members + group):
+                groups.append(group)
+                used.update(group)
+    return tuple(groups)
+
+
+# fixed seeds (no hypothesis draw): FAST r = 2 at sizes where the kernel
+# driver's packings can fire, under the Inc-Degree and a shuffled ranking
+@pytest.mark.parametrize(
+    "mode,n,seed", [("planted", 20, 1), ("uniform", 24, 2), ("planted", 27, 3), ("uniform", 30, 4)]
+)
+def test_conflict_packing_matches_the_definition(mode, n, seed):
+    spec = GeneratorSpec(F2, n, GenerationMode(mode), seed, edits=n // 3 if mode == "planted" else 0)
+    inst = generate(spec)
+    pairs = list(itertools.combinations(range(n), 2))
+    sizes = Counter()
+    for sigma in (inc_degree_ranking(inst), Ranking(tuple(SplitMix64(seed).permutation(n)))):
+        oi = OrderedInstance(inst, sigma)
+        for row in oi.violated.nonzero()[0].tolist():
+            packing = _find_conflict_packing(oi, row, 0)
+            extras = packing.extras if packing is not None else ()
+            assert extras == reference_packing(inst, sigma.order, pairs[row]), (sigma, pairs[row])
+            sizes.update(len(group) for group in extras)
+    assert all(sizes[size] > 0 for size in (1, 2, 3)), sizes
 
 
 class TestTrivialInstances:
